@@ -1,4 +1,4 @@
-//! Ablation benches for the design choices DESIGN.md calls out:
+//! Ablation benches for the index and search design choices:
 //!
 //! * **R-tree fanout** — the bound-tightness / traversal-cost trade-off
 //!   (smaller nodes ⇒ tighter keyword summaries ⇒ fewer expansions, but

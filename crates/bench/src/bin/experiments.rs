@@ -1,4 +1,4 @@
-//! Regenerates every table/figure of the evaluation (DESIGN.md §2).
+//! Regenerates every table/figure of the evaluation.
 //!
 //! Usage:
 //!
@@ -8,8 +8,7 @@
 //! experiments e2 e5 e10       # a subset
 //! ```
 //!
-//! Output is a sequence of paper-style tables; EXPERIMENTS.md records one
-//! captured run together with the expected shapes.
+//! Output is a sequence of paper-style tables.
 
 use std::sync::Arc;
 

@@ -1,6 +1,6 @@
 //! Benchmark harness support: standard workloads, wall-clock timing and
 //! paper-style table printing shared by the Criterion benches and the
-//! `experiments` binary (see DESIGN.md §2 for the experiment index).
+//! `experiments` binary.
 
 use std::time::Instant;
 

@@ -182,11 +182,21 @@ pub fn refine_combined_on<E: RefinementEngine>(
     let w_first = chain_weights_then_keywords(engine, query, missing, lambda);
 
     let mut best: Option<CombinedRefinement> = None;
+    let mut failed = None;
     for (order, staged) in [
         (CombineOrder::KeywordsThenWeights, kw_first),
         (CombineOrder::WeightsThenKeywords, w_first),
     ] {
-        let Ok(refined_query) = staged else { continue };
+        let refined_query = match staged {
+            Ok(q) => q,
+            // A partial answer is not a refinement: an expired deadline
+            // in either chain cancels the whole combination.
+            Err(WhyNotError::DeadlineExceeded) => return Err(WhyNotError::DeadlineExceeded),
+            Err(e) => {
+                failed.get_or_insert(e);
+                continue;
+            }
+        };
         let candidate =
             assemble(corpus, &params, query, missing, &ctx, refined_query, doc_norm, order);
         match &best {
@@ -194,7 +204,7 @@ pub fn refine_combined_on<E: RefinementEngine>(
             _ => best = Some(candidate),
         }
     }
-    best.ok_or(WhyNotError::EmptyMissingSet) // unreachable: stage 1 alone succeeds
+    best.ok_or_else(|| failed.expect("no chain succeeded, so one failed"))
 }
 
 /// Stage 1 keywords, stage 2 weights.
@@ -388,6 +398,51 @@ mod tests {
         assert_eq!(
             refine_combined(&tree, &params, &q, &[ObjectId(9999)], 0.5).unwrap_err(),
             WhyNotError::ForeignObject(ObjectId(9999))
+        );
+    }
+
+    /// A refinement engine whose keyword module always times out.
+    struct KeywordsTimeOut<'a>(TreeRefinementEngine<'a>);
+
+    impl RefinementEngine for KeywordsTimeOut<'_> {
+        fn corpus(&self) -> &Corpus {
+            self.0.corpus()
+        }
+
+        fn score_params(&self) -> ScoreParams {
+            self.0.score_params()
+        }
+
+        fn preference(
+            &self,
+            query: &Query,
+            missing: &[ObjectId],
+            lambda: f64,
+        ) -> Result<PreferenceRefinement, WhyNotError> {
+            self.0.preference(query, missing, lambda)
+        }
+
+        fn keywords(
+            &self,
+            _: &Query,
+            _: &[ObjectId],
+            _: f64,
+        ) -> Result<KeywordRefinement, WhyNotError> {
+            Err(WhyNotError::DeadlineExceeded)
+        }
+    }
+
+    #[test]
+    fn an_expired_deadline_in_either_chain_cancels_the_combination() {
+        let (_, params, tree, q, missing) = scenario(4);
+        let engine = KeywordsTimeOut(TreeRefinementEngine::new(
+            &tree,
+            params,
+            KeywordOptions::default(),
+        ));
+        assert_eq!(
+            refine_combined_on(&engine, &q, &missing, 0.5).unwrap_err(),
+            WhyNotError::DeadlineExceeded
         );
     }
 }

@@ -110,18 +110,6 @@ impl Yask {
         Yask::new(corpus, YaskConfig::default())
     }
 
-    /// Wraps an already-built KcR-tree — the ingest path's constructor:
-    /// applying a write batch clones the previous epoch's tree, mutates it
-    /// incrementally, and republishes it here without a bulk load.
-    pub fn from_tree(tree: KcRTree, config: YaskConfig) -> Self {
-        let params = ScoreParams::new(tree.corpus().space()).with_model(config.model);
-        Yask {
-            tree,
-            params,
-            config,
-        }
-    }
-
     /// The corpus.
     pub fn corpus(&self) -> &Corpus {
         self.tree.corpus()

@@ -83,7 +83,7 @@ pub struct KeywordRefinement {
     pub stats: KeywordStats,
 }
 
-/// Tuning knobs; the defaults match the experiments in DESIGN.md.
+/// Tuning knobs; the defaults are the ones the `experiments` binary runs.
 #[derive(Clone, Copy, Debug)]
 pub struct KeywordOptions {
     /// Hard cap on enumerated candidates (a safety valve for λ = 1, where
@@ -247,6 +247,12 @@ pub fn refine_keywords_naive_with(
 /// candidates whose true penalty is at least the best — therefore yields
 /// the *same* refinement as the single-tree path, which is what the
 /// sharded-equals-single-tree property suite pins down.
+///
+/// No candidate can be "unable to beat" an infinite best penalty, so an
+/// evaluator that prunes before any candidate has evaluated is
+/// abandoning the search (the deadline-bounded fan-out does this once
+/// its budget is spent). When that leaves no candidate at all, the
+/// skeleton returns [`WhyNotError::DeadlineExceeded`].
 pub fn refine_keywords_eval<F>(
     corpus: &Corpus,
     params: &ScoreParams,
@@ -330,7 +336,9 @@ where
         }
     }
 
-    let (doc, delta_doc, rank, penalty) = best.expect("Δdoc = 0 candidate always evaluates");
+    let Some((doc, delta_doc, rank, penalty)) = best else {
+        return Err(WhyNotError::DeadlineExceeded);
+    };
     let k_new = ctx.refined_k(rank);
     Ok(KeywordRefinement {
         query: query.with_doc(doc).with_k(k_new),
@@ -525,5 +533,23 @@ mod tests {
             refine_keywords(&tree, &params, &q, &[ObjectId(1)], 2.0).unwrap_err(),
             WhyNotError::InvalidLambda(2.0)
         );
+    }
+
+    #[test]
+    fn an_evaluator_that_abandons_every_candidate_is_a_deadline_error() {
+        let corpus = random_corpus(60, 8, 64);
+        let params = ScoreParams::new(corpus.space());
+        let q = Query::new(Point::new(0.5, 0.5), ks(&[1]), 3);
+        let missing = pick_missing(&corpus, &params, &q, 1);
+        let r = refine_keywords_eval(
+            &corpus,
+            &params,
+            &q,
+            &missing,
+            0.5,
+            KeywordOptions::default(),
+            |_, _| None,
+        );
+        assert_eq!(r.unwrap_err(), WhyNotError::DeadlineExceeded);
     }
 }

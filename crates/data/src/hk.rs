@@ -1,7 +1,7 @@
-//! The 539-hotel Hong Kong stand-in dataset (see DESIGN.md §3).
+//! The 539-hotel Hong Kong stand-in dataset.
 //!
 //! Fully deterministic: [`hk_hotels`] always produces the same corpus, so
-//! examples, tests and EXPERIMENTS.md all reference identical data.
+//! examples, tests and benches all reference identical data.
 //! Construction: each hotel is assigned to a district by weight, scattered
 //! around its centre with a Gaussian, given a combinatorial name tagged
 //! with the district, and assigned 6–14 keywords — a Zipf-skewed draw from

@@ -7,8 +7,7 @@
 //! **deterministic stand-in**: 539 synthetic hotels whose locations follow
 //! a mixture of Gaussians centred on real Hong Kong districts and whose
 //! keyword sets are Zipf-skewed draws from a 110-term facility/comment
-//! vocabulary with per-district biases (see DESIGN.md §3 for why this
-//! preserves the behaviour the algorithms care about).
+//! vocabulary with per-district biases.
 //!
 //! [`synth`] scales the same recipe to arbitrary sizes for the
 //! performance sweeps, and adds workload helpers (random queries, missing

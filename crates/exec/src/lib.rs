@@ -22,15 +22,16 @@
 //!   alone (per-shard exact rank counts summed, per-shard segment sets
 //!   merged, a shared cross-shard outrank bound aborting hopeless
 //!   candidates), so the executor needs **no global KcR-tree** —
-//!   property-tested equal to the `shards = 1` path for K ∈ {1, 2, 4, 8};
+//!   property-tested equal to the single-tree [`yask_core::Yask`] for
+//!   K ∈ {1, 2, 4, 8};
 //! * [`cache`] — bounded LRU caches for top-k results and why-not
 //!   answers, keyed by canonicalized `(query, k, λ, desired-set)` bits,
 //!   with hit/miss/eviction counters;
-//! * [`executor`] — the [`Executor`] facade tying it together, with the
-//!   single-tree engine kept as the `shards = 1` special case. The
-//!   executor is *writable*: engine epochs are published through an
-//!   arc-swap-style cell, [`Executor::apply_batch`] derives the next
-//!   epoch copy-on-write with shard-aware write routing (inserts go to
+//! * [`executor`] — the [`Executor`] facade tying it together. Every
+//!   shard count, one included, runs the same scatter path on the worker
+//!   pool. The executor is *writable*: engine epochs are published
+//!   through an arc-swap-style cell, [`Executor::apply_batch`] derives
+//!   the next epoch copy-on-write with shard-aware write routing (inserts go to
 //!   their owning STR cell, deletes to the shard that indexed them), the
 //!   answer caches are invalidated by epoch tags, and a skew trigger
 //!   re-splits the STR partition when writes unbalance it;

@@ -141,7 +141,7 @@ pub(crate) struct ExecCounters {
     pub(crate) whynot: WhyNotHists,
     queries: AtomicU64,
     scatter_queries: AtomicU64,
-    single_queries: AtomicU64,
+    scan_fallback_queries: AtomicU64,
     batches: AtomicU64,
     inserts: AtomicU64,
     deletes: AtomicU64,
@@ -160,7 +160,7 @@ impl ExecCounters {
             whynot: WhyNotHists::default(),
             queries: AtomicU64::new(0),
             scatter_queries: AtomicU64::new(0),
-            single_queries: AtomicU64::new(0),
+            scan_fallback_queries: AtomicU64::new(0),
             batches: AtomicU64::new(0),
             inserts: AtomicU64::new(0),
             deletes: AtomicU64::new(0),
@@ -171,12 +171,15 @@ impl ExecCounters {
         }
     }
 
-    pub(crate) fn record_query(&self, scattered: bool) {
+    /// Counts one computed top-k query: answered by scatter-gather, or
+    /// (`scan_fallback`) by the exact scan after a shard reply went
+    /// missing.
+    pub(crate) fn record_query(&self, scan_fallback: bool) {
         self.queries.fetch_add(1, Ordering::Relaxed);
-        if scattered {
-            self.scatter_queries.fetch_add(1, Ordering::Relaxed);
+        if scan_fallback {
+            self.scan_fallback_queries.fetch_add(1, Ordering::Relaxed);
         } else {
-            self.single_queries.fetch_add(1, Ordering::Relaxed);
+            self.scatter_queries.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -264,8 +267,9 @@ pub struct ExecSnapshot {
     pub queries: u64,
     /// Queries computed by scatter-gather.
     pub scatter_queries: u64,
-    /// Queries computed on the single tree.
-    pub single_queries: u64,
+    /// Queries answered by the exact corpus scan because a shard reply
+    /// went missing (a shard job panicked mid-scatter).
+    pub scan_fallback_queries: u64,
     /// The published corpus epoch (0 until the first write batch).
     pub epoch: u64,
     /// Live objects in the current epoch.
@@ -412,7 +416,7 @@ impl ExecCounters {
             queue_saturated: inputs.queue_saturated,
             queries: self.queries.load(Ordering::Relaxed),
             scatter_queries: self.scatter_queries.load(Ordering::Relaxed),
-            single_queries: self.single_queries.load(Ordering::Relaxed),
+            scan_fallback_queries: self.scan_fallback_queries.load(Ordering::Relaxed),
             epoch: inputs.epoch,
             live_objects: inputs.live_objects,
             tombstones: inputs.tombstones,
@@ -478,7 +482,7 @@ mod tests {
         });
         assert_eq!(s.queries, 2);
         assert_eq!(s.scatter_queries, 1);
-        assert_eq!(s.single_queries, 1);
+        assert_eq!(s.scan_fallback_queries, 1);
         assert_eq!(s.per_shard.len(), 2);
         assert_eq!(s.per_shard[0].queries, 2);
         assert!((s.per_shard[0].mean_us - 200.0).abs() < 1e-9);

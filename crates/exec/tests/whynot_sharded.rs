@@ -8,16 +8,16 @@
 //! with a cross-shard abort bound). These tests pin the tentpole claim:
 //! for K ∈ {1, 2, 4, 8}, on random corpora — with and without tombstones,
 //! before and after live write batches — every why-not answer equals the
-//! retained single-tree (`shards = 1`) path, down to penalties, refined
-//! queries, ranks and rendered messages.
+//! single-tree engine [`yask_core::Yask`] over the same corpus, down to
+//! penalties, refined queries, ranks and rendered messages.
 
 use proptest::prelude::*;
 
-use yask_core::Explanation;
+use yask_core::{Explanation, Yask};
 use yask_exec::{ExecConfig, Executor};
 use yask_geo::{Point, Space};
 use yask_index::{Corpus, CorpusBuilder, ObjectId};
-use yask_query::{topk_scan, Query, Weights};
+use yask_query::{topk_scan, Query, ScoreParams, Weights};
 use yask_text::KeywordSet;
 use yask_util::Xoshiro256;
 
@@ -77,8 +77,13 @@ fn exec_with(corpus: &Corpus, shards: usize) -> Executor {
 
 /// Picks a missing set strictly below the top-k of the initial query, or
 /// `None` when the corpus ranking leaves nothing to miss.
-fn pick_missing(corpus: &Corpus, exec: &Executor, q: &Query, m: usize) -> Option<Vec<ObjectId>> {
-    let all = topk_scan(corpus, &exec.engine().score_params(), &q.with_k(corpus.len()));
+fn pick_missing(
+    corpus: &Corpus,
+    params: &ScoreParams,
+    q: &Query,
+    m: usize,
+) -> Option<Vec<ObjectId>> {
+    let all = topk_scan(corpus, params, &q.with_k(corpus.len()));
     if all.len() < q.k + 1 + m {
         return None;
     }
@@ -109,8 +114,8 @@ proptest! {
     /// k′, bit-identical penalty — for every shard count.
     #[test]
     fn sharded_keyword_refinement_matches_single_tree(c in corpus(30, 90), q in query()) {
-        let single = exec_with(&c.corpus, 1);
-        let Some(missing) = pick_missing(&c.corpus, &single, &q, 1) else { return; };
+        let single = Yask::with_defaults(c.corpus.clone());
+        let Some(missing) = pick_missing(&c.corpus, &single.score_params(), &q, 1) else { return; };
         let want = single.refine_keywords(&q, &missing, 0.5);
         for shards in SHARD_COUNTS {
             let exec = exec_with(&c.corpus, shards);
@@ -135,8 +140,8 @@ proptest! {
     /// construction merged before the sweep equals the single scan.
     #[test]
     fn sharded_pref_refinement_matches_single_tree(c in corpus(30, 90), q in query()) {
-        let single = exec_with(&c.corpus, 1);
-        let Some(missing) = pick_missing(&c.corpus, &single, &q, 2) else { return; };
+        let single = Yask::with_defaults(c.corpus.clone());
+        let Some(missing) = pick_missing(&c.corpus, &single.score_params(), &q, 2) else { return; };
         let want = single.refine_preference(&q, &missing, 0.5);
         for shards in SHARD_COUNTS {
             let exec = exec_with(&c.corpus, shards);
@@ -161,8 +166,8 @@ proptest! {
     /// rendered messages as the scan path.
     #[test]
     fn sharded_explain_matches_single_tree(c in corpus(30, 90), q in query()) {
-        let single = exec_with(&c.corpus, 1);
-        let Some(missing) = pick_missing(&c.corpus, &single, &q, 2) else { return; };
+        let single = Yask::with_defaults(c.corpus.clone());
+        let Some(missing) = pick_missing(&c.corpus, &single.score_params(), &q, 2) else { return; };
         let want = single.explain(&q, &missing).expect("valid request");
         for shards in SHARD_COUNTS {
             let exec = exec_with(&c.corpus, shards);
@@ -176,8 +181,8 @@ proptest! {
     /// chaining and recommendation glue.
     #[test]
     fn sharded_combined_and_answer_match(c in corpus(30, 70), q in query()) {
-        let single = exec_with(&c.corpus, 1);
-        let Some(missing) = pick_missing(&c.corpus, &single, &q, 1) else { return; };
+        let single = Yask::with_defaults(c.corpus.clone());
+        let Some(missing) = pick_missing(&c.corpus, &single.score_params(), &q, 1) else { return; };
         let exec = exec_with(&c.corpus, 4);
         match (exec.refine_combined(&q, &missing, 0.5), single.refine_combined(&q, &missing, 0.5)) {
             (Ok(g), Ok(w)) => {
@@ -228,7 +233,7 @@ fn tombstoned_corpora_stay_exact() {
     let (v1, _) = base.with_updates(std::iter::empty(), &victims);
     assert_eq!(v1.tombstones(), victims.len());
 
-    let single = exec_with(&v1, 1);
+    let single = Yask::with_defaults(v1.clone());
     let mut rng = Xoshiro256::seed_from_u64(7);
     for (case, &dead) in victims.iter().enumerate().take(6) {
         let q = Query::new(
@@ -236,7 +241,7 @@ fn tombstoned_corpora_stay_exact() {
             ks(&[rng.below(12) as u32, rng.below(12) as u32]),
             1 + rng.below(5),
         );
-        let Some(missing) = pick_missing(&v1, &single, &q, 1) else {
+        let Some(missing) = pick_missing(&v1, &single.score_params(), &q, 1) else {
             continue;
         };
         for lambda in [0.2, 0.5, 0.8] {
@@ -313,15 +318,15 @@ fn apply_batch_then_whynot_stays_exact() {
         corpus = next;
     }
 
-    // Oracle: a fresh single-tree executor over the final version.
-    let fresh = exec_with(&corpus, 1);
+    // Oracle: a fresh single-tree engine over the final version.
+    let fresh = Yask::with_defaults(corpus.clone());
     for case in 0..6 {
         let q = Query::new(
             Point::new(rng.next_f64(), rng.next_f64()),
             ks(&[rng.below(12) as u32, rng.below(12) as u32]),
             1 + rng.below(4),
         );
-        let Some(missing) = pick_missing(&corpus, &fresh, &q, 1) else {
+        let Some(missing) = pick_missing(&corpus, &fresh.score_params(), &q, 1) else {
             continue;
         };
         let kw_want = fresh.refine_keywords(&q, &missing, 0.5).unwrap();

@@ -1,5 +1,5 @@
 //! Tree shape statistics — reported by the index-build experiments (E4/E9
-//! in DESIGN.md) and useful when eyeballing fill factors.
+//! of the `experiments` binary) and useful when eyeballing fill factors.
 
 use crate::aug::Augmentation;
 use crate::rtree::{NodeKind, RTree};

@@ -1511,7 +1511,7 @@ fn render_exec(s: &ExecSnapshot) -> Json {
         ("queue_saturated", Json::Num(s.queue_saturated as f64)),
         ("queries", Json::Num(s.queries as f64)),
         ("scatter_queries", Json::Num(s.scatter_queries as f64)),
-        ("single_queries", Json::Num(s.single_queries as f64)),
+        ("scan_fallback_queries", Json::Num(s.scan_fallback_queries as f64)),
         ("epoch", Json::Num(s.epoch as f64)),
         ("live_objects", Json::Num(s.live_objects as f64)),
         ("tombstones", Json::Num(s.tombstones as f64)),
@@ -1646,7 +1646,7 @@ fn render_explanation(e: &Explanation) -> Json {
 }
 
 /// The browser landing page — a text substitute for the Google-Maps GUI
-/// of the demo (Figs 3–5); see DESIGN.md §3.
+/// of the demo (Figs 3–5).
 const LANDING_PAGE: &str = r#"<!doctype html>
 <html><head><title>YASK — why-not spatial keyword queries</title></head>
 <body>

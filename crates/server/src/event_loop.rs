@@ -39,6 +39,7 @@
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -450,12 +451,23 @@ pub(crate) fn spawn_with_clock(
             let poller = poller.clone();
             std::thread::spawn(move || {
                 while let Ok(job) = job_rx.recv() {
-                    let bytes = handler(&job.req).to_bytes(job.keep);
+                    // A panicking handler must not take its worker down:
+                    // the request is answered 500 and its connection is
+                    // closed, since what the panic left behind is unknown.
+                    let outcome = catch_unwind(AssertUnwindSafe(|| handler(&job.req)));
+                    let (bytes, close) = match outcome {
+                        Ok(resp) => (resp.to_bytes(job.keep), !job.keep),
+                        Err(_) => (
+                            Response::error(500, "internal error while handling the request")
+                                .to_bytes(false),
+                            true,
+                        ),
+                    };
                     let _ = done_tx.send(Done {
                         token: job.token,
                         seq: job.seq,
                         bytes,
-                        close: !job.keep,
+                        close,
                     });
                     let _ = poller.notify();
                 }
@@ -728,6 +740,10 @@ impl EventLoop {
     /// Vectored-writes the queue. Returns `true` when the connection was
     /// removed (fully drained and closing, peer gone, or write error).
     fn flush(&mut self, token: u64) -> bool {
+        // Read the clock before writing: once the reply is on the wire the
+        // client may act on it (and, in tests, advance the clock), and an
+        // idle deadline armed from a later reading would absorb that time.
+        let now = self.clock.now();
         let mut dead = false;
         let mut rearm = false;
         {
@@ -799,7 +815,6 @@ impl EventLoop {
         }
         if rearm {
             let control = (self.policy)();
-            let now = self.clock.now();
             if let Some(conn) = self.conns.get_mut(&token) {
                 // Fresh generation lazily cancels the old wheel entry.
                 conn.generation += 1;
@@ -1117,6 +1132,52 @@ mod tests {
         let text = String::from_utf8_lossy(&buf);
         assert!(text.starts_with("HTTP/1.1 200"), "got: {text}");
         assert!(text.contains("late"));
+        server.shutdown();
+    }
+
+    /// A handler panic costs one request, not a worker: each panicking
+    /// request is answered 500 on a closed connection, and with only two
+    /// workers a third panic would otherwise leave nobody to serve the
+    /// normal request that follows.
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn handler_panics_answer_500_and_keep_every_worker() {
+        use crate::http::ConnControl;
+        use std::io::Read;
+
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let handler: Handler = Arc::new(|req| {
+            if req.path == "/boom" {
+                panic!("handler failure injected by the test");
+            }
+            Response::text("text/plain", "ok")
+        });
+        let policy: ConnPolicy = Arc::new(|| ConnControl {
+            idle_timeout: Duration::from_secs(30),
+            shed: None,
+        });
+        let mut server = spawn(listener, 2, handler, policy).unwrap();
+
+        let exchange = |path: &str| -> String {
+            let mut stream = TcpStream::connect(server.addr()).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .unwrap();
+            let req = format!("GET {path} HTTP/1.1\r\nconnection: close\r\n\r\n");
+            stream.write_all(req.as_bytes()).unwrap();
+            let mut buf = Vec::new();
+            stream
+                .read_to_end(&mut buf)
+                .expect("the server must answer and close");
+            String::from_utf8_lossy(&buf).into_owned()
+        };
+        for _ in 0..3 {
+            let reply = exchange("/boom");
+            assert!(reply.starts_with("HTTP/1.1 500"), "got: {reply}");
+            assert!(reply.contains("connection: close"), "got: {reply}");
+        }
+        let reply = exchange("/fine");
+        assert!(reply.starts_with("HTTP/1.1 200"), "got: {reply}");
         server.shutdown();
     }
 

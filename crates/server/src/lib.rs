@@ -8,7 +8,7 @@
 //!
 //! * [`json`] — a complete hand-rolled JSON value type, serializer and
 //!   recursive-descent parser (serde_json is outside the approved
-//!   dependency set — see DESIGN.md §4);
+//!   dependency set);
 //! * [`http`] — a minimal HTTP/1.1 request reader / response writer over
 //!   `std::net`, plus a crossbeam-channel worker-pool server;
 //! * [`api`] — the YASK REST endpoints (`/query`, `/whynot/explain`,

@@ -4,7 +4,7 @@
 //! standard library default) costs more than the table lookup itself for
 //! such keys. This module hand-rolls the well-known Fx multiply-rotate mix
 //! (as used by rustc) instead of pulling an external crate, per the
-//! workspace's offline-dependency policy (see DESIGN.md §4).
+//! workspace's offline-dependency policy.
 //!
 //! HashDoS resistance is irrelevant here: all hashed keys are internal ids,
 //! never attacker-controlled strings.

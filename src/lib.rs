@@ -10,8 +10,7 @@
 //! service.
 //!
 //! This crate is a facade: it re-exports the public API of the workspace
-//! crates and provides the [`prelude`]. See `README.md` for a tour and
-//! `DESIGN.md` for the system inventory.
+//! crates and provides the [`prelude`]. See `README.md` for a tour.
 //!
 //! ## Quick start
 //!
