@@ -357,8 +357,7 @@ impl YaskService {
     /// overload level connections are refused with a canned `503` +
     /// `Retry-After` *before their request is read* — the cheapest
     /// possible shed — and while merely overloaded the keep-alive idle
-    /// timeout shrinks so parked connections release worker threads
-    /// exactly when threads are scarce.
+    /// timeout shrinks so parked connections close sooner.
     pub fn conn_policy(self: &Arc<Self>) -> ConnPolicy {
         let service = Arc::clone(self);
         Arc::new(move || {
@@ -3033,5 +3032,37 @@ mod tests {
             // quantiles track the mean within the bucket error bound.
             assert!((p50 - mean).abs() / mean < 0.05, "p50 {p50} vs mean {mean}");
         }
+    }
+
+    /// A body of 20 000 nested `[` must not overflow the worker's stack,
+    /// which would abort the whole process: the parser's depth cap
+    /// answers 400 and the server keeps serving.
+    #[test]
+    fn deeply_nested_body_is_400_over_http_and_the_server_survives() {
+        use std::io::{Read, Write};
+
+        let service = Arc::new(service());
+        let server = crate::HttpServer::spawn(0, 2, service.into_handler()).unwrap();
+        let body = "[".repeat(20_000);
+        let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
+        let head = format!(
+            "POST /query HTTP/1.1\r\nconnection: close\r\ncontent-length: {}\r\n\r\n",
+            body.len()
+        );
+        stream.write_all(head.as_bytes()).unwrap();
+        stream.write_all(body.as_bytes()).unwrap();
+        let mut reply = String::new();
+        stream.read_to_string(&mut reply).unwrap();
+        assert!(reply.starts_with("HTTP/1.1 400"), "{reply}");
+        assert!(reply.contains("nesting"), "{reply}");
+
+        let query = Json::obj([
+            ("x", Json::Num(114.172)),
+            ("y", Json::Num(22.297)),
+            ("keywords", Json::Arr(vec![Json::str("clean")])),
+            ("k", Json::Num(3.0)),
+        ]);
+        let (status, reply) = crate::client::http_post(server.addr(), "/query", &query).unwrap();
+        assert_eq!(status, 200, "{reply}");
     }
 }

@@ -1,16 +1,18 @@
-//! The readiness-based connection loop (epoll via the `polling` shim).
+//! The readiness-based connection loop (epoll via the `polling` shim) —
+//! the server's only connection loop. It needs epoll, so it runs on
+//! Linux; elsewhere the shim's `Poller::new` fails and so does
+//! [`HttpServer::spawn`](crate::http::HttpServer::spawn).
 //!
 //! One loop thread owns every socket: it accepts nonblocking, reads
 //! request bytes into per-connection buffers, parses complete requests
-//! incrementally (same keep-alive / pipelining / smuggling-hardening
-//! semantics as the blocking [`crate::http::read_request`] path), and
-//! dispatches them to a fixed worker pool. Workers run the handler and
-//! send serialized response bytes back over a completion channel; the
-//! loop flushes them **in request order** per connection via vectored
-//! writes. An idle keep-alive connection therefore costs one registered
-//! fd and a few hundred buffered bytes — not a parked worker thread,
-//! which is what lets ≤ pool-size workers serve thousands of idle
-//! connections.
+//! incrementally (keep-alive, pipelining, and the smuggling hardening
+//! documented on `try_parse`), and dispatches them to a fixed worker
+//! pool. Workers run the handler and send serialized response bytes back
+//! over a completion channel; the loop flushes them **in request order**
+//! per connection via vectored writes. An idle keep-alive connection
+//! therefore costs one registered fd and a few hundred buffered bytes —
+//! not a parked worker thread, which is what lets ≤ pool-size workers
+//! serve thousands of idle connections.
 //!
 //! ```text
 //!             ┌────────────┐   jobs (token, seq, request)
@@ -27,14 +29,13 @@
 //! or an accept-boundary shed) or a silent close (clean client EOF, idle
 //! timeout, I/O error).
 //!
-//! **Timeouts.** The blocking path enforced
+//! **Timeouts.** A hashed [`TimerWheel`] holds one
 //! [`ConnControl::idle_timeout`](crate::http::ConnControl::idle_timeout)
-//! with per-socket read/write timeouts; here a hashed [`TimerWheel`]
-//! holds one deadline per connection, re-armed (and re-read from the
+//! deadline per connection, re-armed (and re-read from the
 //! [`ConnPolicy`], so overload shrinks it) every time a response batch
-//! finishes flushing. Expiry closes silently, exactly like the blocking
-//! read-timeout path. Time comes from an injected [`Clock`], so the
-//! wheel and the idle logic are testable without real sleeps.
+//! finishes flushing. Expiry closes the connection silently, without a
+//! status line. Time comes from an injected [`Clock`], so the wheel and
+//! the idle logic are testable without real sleeps.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
@@ -51,9 +52,9 @@ use crate::http::{
     ConnPolicy, Handler, Request, Response, ServerHandle, MAX_BODY, MAX_REQUESTS_PER_CONNECTION,
 };
 
-/// Upper bound on the request head (request line + headers). The
-/// blocking path reads lines unbounded; the event loop buffers, so it
-/// needs an explicit cap against unterminated-header floods.
+/// Upper bound on the request head (request line + headers): the loop
+/// buffers a connection's bytes until the head is complete, so it needs
+/// an explicit cap against unterminated-header floods.
 const MAX_HEAD_BYTES: usize = 64 * 1024;
 
 /// Per-readable-event read budget, so one firehose connection cannot
@@ -247,14 +248,13 @@ pub(crate) enum Parsed {
     Bad(u16, String),
 }
 
-/// Parses one request from `buf`, mirroring the blocking
-/// [`crate::http::read_request`] semantics exactly: malformed request
-/// line → 400; any `transfer-encoding` → 400 (chunked smuggling);
-/// unparseable `content-length` → 400; body beyond [`MAX_BODY`] → 413;
-/// lines may end `\r\n` or bare `\n`; header lines without a colon are
-/// ignored. Additionally caps the head section at [`MAX_HEAD_BYTES`]
-/// (the buffering loop needs a bound the blocking reader got for free
-/// from its read timeout).
+/// Parses one request from the front of `buf`: malformed request line →
+/// 400; any `transfer-encoding` → 400 (chunked smuggling); a
+/// `content-length` that is not plain digits, or copies of it that
+/// disagree → 400; body beyond [`MAX_BODY`] → 413; head beyond
+/// [`MAX_HEAD_BYTES`] without its blank line → 400. Lines may end
+/// `\r\n` or bare `\n`; header lines without a colon are ignored; a
+/// request line without a version is `HTTP/1.0`.
 pub(crate) fn try_parse(buf: &[u8]) -> Parsed {
     // Find the end of the head: the first empty line.
     let mut line_start = 0usize;
@@ -271,9 +271,7 @@ pub(crate) fn try_parse(buf: &[u8]) -> Parsed {
                 break;
             }
             if line.is_empty() {
-                // Leading blank line before any request line: the
-                // blocking reader would treat it as a (malformed)
-                // request line, so mirror that.
+                // A blank line where the request line belongs.
                 return Parsed::Bad(400, "malformed request line".into());
             }
             lines.push(line);
@@ -317,13 +315,22 @@ pub(crate) fn try_parse(buf: &[u8]) -> Parsed {
             "transfer-encoding is not supported; send a content-length body".into(),
         );
     }
-    let content_length = match headers.iter().find(|(k, _)| k == "content-length") {
-        None => 0,
-        Some((_, v)) => match v.parse::<usize>() {
-            Ok(n) => n,
-            Err(_) => return Parsed::Bad(400, format!("invalid content-length {v:?}")),
-        },
-    };
+    // The length must be plain digits (`usize::from_str` also takes a
+    // leading `+`), and repeated headers must agree: otherwise the bytes
+    // one copy covers and another does not would be parsed as a
+    // pipelined request — the same smuggling vector as above.
+    let mut content_length = None;
+    for (_, v) in headers.iter().filter(|(k, _)| k == "content-length") {
+        let n = match v.parse::<usize>() {
+            Ok(n) if v.bytes().all(|b| b.is_ascii_digit()) => n,
+            _ => return Parsed::Bad(400, format!("invalid content-length {v:?}")),
+        };
+        if content_length.is_some_and(|first| first != n) {
+            return Parsed::Bad(400, "conflicting content-length headers".into());
+        }
+        content_length = Some(n);
+    }
+    let content_length = content_length.unwrap_or(0);
     if content_length > MAX_BODY {
         return Parsed::Bad(
             413,
@@ -690,8 +697,7 @@ impl EventLoop {
 
             if saw_eof && !dead {
                 if !conn.closed_read && !conn.read_buf.is_empty() {
-                    // EOF mid-request: best-effort 400, mirroring the
-                    // blocking reader's UnexpectedEof answer.
+                    // EOF mid-request: best-effort 400 before closing.
                     let seq = conn.next_seq;
                     conn.next_seq += 1;
                     conn.pending.insert(
@@ -865,9 +871,8 @@ impl EventLoop {
             }
             if now >= conn.idle_deadline {
                 // Idle (or write-stalled) past the policy deadline:
-                // close silently, exactly like the blocking read
-                // timeout — a 400 here could be mistaken for the
-                // response to a request racing the timeout.
+                // close silently — a 400 here could be mistaken for
+                // the response to a request racing the timeout.
                 self.remove(token);
             }
         }
@@ -953,8 +958,26 @@ mod tests {
 
     #[test]
     fn unparseable_content_length_is_400() {
-        let raw = b"POST / HTTP/1.1\r\ncontent-length: banana\r\n\r\n";
-        assert!(matches!(try_parse(raw), Parsed::Bad(400, _)));
+        for bad in ["banana", "+5"] {
+            let raw = format!("POST / HTTP/1.1\r\ncontent-length: {bad}\r\n\r\nhello");
+            assert!(
+                matches!(try_parse(raw.as_bytes()), Parsed::Bad(400, _)),
+                "{bad}"
+            );
+        }
+    }
+
+    #[test]
+    fn conflicting_content_lengths_are_400_and_agreeing_ones_parse() {
+        let raw = b"POST / HTTP/1.1\r\ncontent-length: 0\r\ncontent-length: 5\r\n\r\nhello";
+        match try_parse(raw) {
+            Parsed::Bad(400, msg) => assert!(msg.contains("conflicting"), "{msg}"),
+            other => panic!("expected Bad(400), got {other:?}"),
+        }
+        let raw = b"POST / HTTP/1.1\r\ncontent-length: 5\r\ncontent-length: 5\r\n\r\nhello";
+        let (req, n) = complete(raw);
+        assert_eq!(req.body, b"hello");
+        assert_eq!(n, raw.len());
     }
 
     #[test]
@@ -975,6 +998,114 @@ mod tests {
         let mut raw = b"GET / HTTP/1.1\r\n".to_vec();
         raw.extend(std::iter::repeat_n(b'a', MAX_HEAD_BYTES + 16));
         assert!(matches!(try_parse(&raw), Parsed::Bad(400, _)));
+    }
+
+    // -- split-point property ----------------------------------------------
+
+    use proptest::prelude::*;
+
+    /// A valid request's wire bytes and the `Request` it must parse into.
+    fn arb_request() -> impl Strategy<Value = (Vec<u8>, Request)> {
+        (
+            "[A-Z]{1,7}",
+            "/[a-z0-9/]{0,8}",
+            "[a-z0-9=&]{0,6}",
+            0usize..3,
+            proptest::collection::vec(("x-[a-z]{1,6}", "[!-~][ -~]{0,8}[!-~]"), 0..4),
+            proptest::collection::vec(any::<u8>(), 0..40),
+            any::<bool>(),
+            any::<bool>(),
+        )
+            .prop_map(
+                |(method, path, query, version, mut headers, body, crlf, length)| {
+                    let eol = if crlf { "\r\n" } else { "\n" };
+                    let version = ["HTTP/1.1", "HTTP/1.0", ""][version];
+                    let target = if query.is_empty() {
+                        path.clone()
+                    } else {
+                        format!("{path}?{query}")
+                    };
+                    if length || !body.is_empty() {
+                        headers.push(("content-length".into(), body.len().to_string()));
+                    }
+                    let mut wire =
+                        format!("{method} {target} {version}").trim_end().to_owned() + eol;
+                    for (k, v) in &headers {
+                        wire += &format!("{k}: {v}{eol}");
+                    }
+                    wire += eol;
+                    let mut wire = wire.into_bytes();
+                    wire.extend_from_slice(&body);
+                    let version = if version.is_empty() {
+                        "HTTP/1.0"
+                    } else {
+                        version
+                    };
+                    let req = Request {
+                        method,
+                        path,
+                        query,
+                        version: version.into(),
+                        headers,
+                        body,
+                    };
+                    (wire, req)
+                },
+            )
+    }
+
+    /// Parses every complete request off the front of `buf`, as the loop
+    /// does after each read, returning each with its consumed length.
+    fn parse_all(buf: &mut Vec<u8>) -> Vec<(Request, usize)> {
+        let mut out = Vec::new();
+        loop {
+            match try_parse(buf) {
+                Parsed::NeedMore => return out,
+                Parsed::Complete(req, n) => {
+                    buf.drain(..n);
+                    out.push((*req, n));
+                }
+                Parsed::Bad(status, msg) => panic!("valid stream rejected: {status} {msg}"),
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Splitting a valid pipelined stream anywhere changes nothing:
+        /// the prefix alone yields `NeedMore` or the leading request, and
+        /// parsing the prefix, then the whole buffer, yields the same
+        /// requests and consumed lengths as parsing the stream at once.
+        #[test]
+        fn any_split_point_parses_like_the_whole_stream(
+            reqs in proptest::collection::vec(arb_request(), 1..5)
+        ) {
+            let stream: Vec<u8> = reqs.iter().flat_map(|(wire, _)| wire.clone()).collect();
+            let whole: Vec<(Request, usize)> =
+                reqs.iter().map(|(wire, req)| (req.clone(), wire.len())).collect();
+            let mut whole_buf = stream.clone();
+            prop_assert_eq!(&parse_all(&mut whole_buf), &whole);
+            prop_assert!(whole_buf.is_empty());
+
+            for split in 0..=stream.len() {
+                match try_parse(&stream[..split]) {
+                    Parsed::NeedMore => {}
+                    Parsed::Complete(req, n) => {
+                        prop_assert_eq!((*req, n), whole[0].clone());
+                    }
+                    Parsed::Bad(status, msg) => {
+                        panic!("prefix of {split} bytes rejected: {status} {msg}")
+                    }
+                }
+                let mut buf = stream[..split].to_vec();
+                let mut got = parse_all(&mut buf);
+                buf.extend_from_slice(&stream[split..]);
+                got.extend(parse_all(&mut buf));
+                prop_assert!(buf.is_empty(), "split {}", split);
+                prop_assert_eq!(&got, &whole, "split {}", split);
+            }
+        }
     }
 
     // -- clock + wheel (the injected-clock idle-timeout harness) -----------

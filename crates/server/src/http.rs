@@ -1,13 +1,15 @@
-//! Minimal HTTP/1.1 server over `std::net`.
+//! Minimal HTTP/1.1 over `std::net`: request and response types and the
+//! server entry point.
 //!
 //! Enough of the protocol for the demo service and its tests: request
 //! line + headers + `Content-Length` bodies in, status + headers + body
 //! out, HTTP/1.1 persistent connections (`Connection: keep-alive`
-//! semantics, including pipelined requests — the reader is buffered per
-//! connection, not per request). Connections are dispatched to a fixed
-//! worker pool over a crossbeam channel.
+//! semantics, including pipelined requests). [`HttpServer`] serves them
+//! on the readiness loop in [`crate::event_loop`], which needs epoll: on
+//! platforms other than Linux, [`HttpServer::spawn`] returns
+//! [`io::ErrorKind::Unsupported`].
 
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -19,11 +21,11 @@ use std::sync::Arc;
 pub const MAX_BODY: usize = 1 << 20;
 
 /// Cap on requests served over one persistent connection, so a chatty
-/// client cannot pin a worker forever.
+/// client cannot hold one connection forever.
 pub(crate) const MAX_REQUESTS_PER_CONNECTION: usize = 256;
 
 /// A parsed HTTP request.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Request {
     /// `GET`, `POST`, …
     pub method: String,
@@ -181,95 +183,6 @@ impl Response {
         bytes.extend_from_slice(&self.body);
         bytes
     }
-
-    fn write_to(&self, stream: &mut TcpStream, keep_alive: bool) -> io::Result<()> {
-        stream.write_all(&self.to_bytes(keep_alive))?;
-        stream.flush()
-    }
-}
-
-/// Reads one request from a buffered connection. `Ok(None)` on a cleanly
-/// closed socket before any bytes. The reader persists across requests on
-/// a kept-alive connection, so pipelined bytes are never dropped.
-pub fn read_request(reader: &mut BufReader<TcpStream>) -> io::Result<Option<Request>> {
-    let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
-        return Ok(None);
-    }
-    let mut parts = line.split_whitespace();
-    let (method, target) = match (parts.next(), parts.next()) {
-        (Some(m), Some(t)) => (m.to_owned(), t.to_owned()),
-        _ => {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "malformed request line",
-            ))
-        }
-    };
-    let version = parts.next().unwrap_or("HTTP/1.0").to_owned();
-    let (path, query) = match target.split_once('?') {
-        Some((p, q)) => (p.to_owned(), q.to_owned()),
-        None => (target, String::new()),
-    };
-
-    let mut headers = Vec::new();
-    loop {
-        let mut h = String::new();
-        if reader.read_line(&mut h)? == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "connection closed mid-headers",
-            ));
-        }
-        let h = h.trim_end_matches(['\r', '\n']);
-        if h.is_empty() {
-            break;
-        }
-        if let Some((k, v)) = h.split_once(':') {
-            headers.push((k.trim().to_ascii_lowercase(), v.trim().to_owned()));
-        }
-    }
-
-    // Chunked bodies are not implemented. On a persistent connection an
-    // unread chunked body would be re-parsed as pipelined requests
-    // (request smuggling), so reject the request — the error path closes
-    // the connection, discarding any buffered body bytes.
-    if headers.iter().any(|(k, _)| k == "transfer-encoding") {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "transfer-encoding is not supported; send a content-length body",
-        ));
-    }
-    // A present-but-unparseable length must be an error, not 0: on a
-    // persistent connection an unconsumed body would be re-parsed as
-    // pipelined requests (same smuggling vector as transfer-encoding).
-    let content_length = match headers.iter().find(|(k, _)| k == "content-length") {
-        None => 0,
-        Some((_, v)) => v.parse::<usize>().map_err(|_| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("invalid content-length {v:?}"),
-            )
-        })?,
-    };
-    // Oversized bodies get a distinguishable error kind so the worker
-    // loop can answer 413 instead of a generic 400.
-    if content_length > MAX_BODY {
-        return Err(io::Error::new(
-            io::ErrorKind::FileTooLarge,
-            format!("body of {content_length} bytes exceeds the {MAX_BODY}-byte limit"),
-        ));
-    }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body)?;
-    Ok(Some(Request {
-        method,
-        path,
-        query,
-        version,
-        headers,
-        body,
-    }))
 }
 
 /// The request handler signature.
@@ -280,9 +193,9 @@ pub type Handler = Arc<dyn Fn(&Request) -> Response + Send + Sync>;
 /// no dispatch, no queueing.
 #[derive(Clone, Copy, Debug)]
 pub struct ConnControl {
-    /// Read/write timeout for the next request on this connection. This
-    /// doubles as the keep-alive idle timeout; an overload policy
-    /// shrinks it to reclaim workers pinned by idle connections.
+    /// Keep-alive idle timeout: how long the connection may sit with
+    /// nothing in flight before it is closed silently. An overload
+    /// policy shrinks it to close parked connections sooner.
     pub idle_timeout: std::time::Duration,
     /// `Some(retry_after_secs)`: shed this connection now — a canned
     /// `503` with `retry-after` is written without reading a byte, and
@@ -310,13 +223,13 @@ pub struct HttpServer;
 pub struct ServerHandle {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    accept_thread: Option<std::thread::JoinHandle<()>>,
+    loop_thread: Option<std::thread::JoinHandle<()>>,
 }
 
 impl ServerHandle {
-    /// Assembles a handle around an accept/event-loop thread. The no-op
-    /// wake connection in [`ServerHandle::shutdown`] unblocks both a
-    /// blocking `accept()` and an epoll wait (listener turns readable).
+    /// Assembles a handle around the event-loop thread. The no-op wake
+    /// connection in [`ServerHandle::shutdown`] ends its epoll wait (the
+    /// listener turns readable).
     pub(crate) fn from_parts(
         addr: SocketAddr,
         stop: Arc<AtomicBool>,
@@ -325,7 +238,7 @@ impl ServerHandle {
         ServerHandle {
             addr,
             stop,
-            accept_thread: Some(thread),
+            loop_thread: Some(thread),
         }
     }
 
@@ -334,12 +247,12 @@ impl ServerHandle {
         self.addr
     }
 
-    /// Stops accepting and joins the accept loop. Idempotent.
+    /// Stops accepting and joins the event loop. Idempotent.
     pub fn shutdown(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
-        // Unblock accept() with a no-op connection.
+        // Wake the loop's epoll wait with a no-op connection.
         let _ = TcpStream::connect(self.addr);
-        if let Some(t) = self.accept_thread.take() {
+        if let Some(t) = self.loop_thread.take() {
             let _ = t.join();
         }
     }
@@ -353,7 +266,9 @@ impl Drop for ServerHandle {
 
 impl HttpServer {
     /// Binds `127.0.0.1:port` (port 0 = ephemeral, for tests) and serves
-    /// `handler` on `workers` threads. Returns immediately.
+    /// `handler` on `workers` threads behind one readiness-loop thread.
+    /// Returns immediately; fails with [`io::ErrorKind::Unsupported`] on
+    /// platforms without epoll.
     pub fn spawn(port: u16, workers: usize, handler: Handler) -> io::Result<ServerHandle> {
         Self::spawn_with_policy(port, workers, handler, Arc::new(ConnControl::default))
     }
@@ -371,97 +286,7 @@ impl HttpServer {
     ) -> io::Result<ServerHandle> {
         assert!(workers >= 1);
         let listener = TcpListener::bind(("127.0.0.1", port))?;
-        if polling::supported() {
-            // Readiness loop: one thread owns every socket, `workers`
-            // threads run handlers. Idle keep-alive connections cost a
-            // registered fd, not a parked worker.
-            return crate::event_loop::spawn(listener, workers, handler, policy);
-        }
-        let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-
-        let (tx, rx) = crossbeam::channel::unbounded::<TcpStream>();
-        for _ in 0..workers {
-            let rx = rx.clone();
-            let handler = handler.clone();
-            let policy = policy.clone();
-            std::thread::spawn(move || {
-                while let Ok(stream) = rx.recv() {
-                    let mut reader = BufReader::new(stream);
-                    let mut served = 0usize;
-                    loop {
-                        // A stalled or malicious client must not pin a
-                        // worker: bound both directions, re-reading the
-                        // policy each iteration so an overloaded server
-                        // shrinks idle keep-alive holds too.
-                        let control = policy();
-                        if let Some(retry) = control.shed {
-                            let _ = Response::error(
-                                503,
-                                "server overloaded; request not read",
-                            )
-                            .with_retry_after(retry)
-                            .write_to(reader.get_mut(), false);
-                            break;
-                        }
-                        let _ = reader.get_mut().set_read_timeout(Some(control.idle_timeout));
-                        let _ = reader
-                            .get_mut()
-                            .set_write_timeout(Some(control.idle_timeout));
-                        let (response, keep) = match read_request(&mut reader) {
-                            Ok(Some(req)) => {
-                                served += 1;
-                                let keep = req.wants_keep_alive()
-                                    && served < MAX_REQUESTS_PER_CONNECTION;
-                                (handler(&req), keep)
-                            }
-                            Ok(None) => break, // client closed cleanly
-                            // An idle kept-alive connection hitting the
-                            // read timeout must close silently: a 400
-                            // here could be read as the response to a
-                            // request racing the timeout.
-                            Err(e)
-                                if matches!(
-                                    e.kind(),
-                                    io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock
-                                ) =>
-                            {
-                                break
-                            }
-                            Err(e) if e.kind() == io::ErrorKind::FileTooLarge => {
-                                (Response::error(413, &e.to_string()), false)
-                            }
-                            Err(e) => (Response::error(400, &e.to_string()), false),
-                        };
-                        if response.write_to(reader.get_mut(), keep).is_err() || !keep {
-                            break;
-                        }
-                    }
-                }
-            });
-        }
-
-        let stop_accept = stop.clone();
-        let accept_thread = std::thread::spawn(move || {
-            for stream in listener.incoming() {
-                if stop_accept.load(Ordering::SeqCst) {
-                    break;
-                }
-                match stream {
-                    Ok(s) => {
-                        let _ = tx.send(s);
-                    }
-                    Err(_) => continue,
-                }
-            }
-            drop(tx); // workers drain and exit
-        });
-
-        Ok(ServerHandle {
-            addr,
-            stop,
-            accept_thread: Some(accept_thread),
-        })
+        crate::event_loop::spawn(listener, workers, handler, policy)
     }
 }
 
@@ -656,7 +481,7 @@ mod tests {
         use std::io::{Read, Write};
 
         let server = echo_server();
-        for bad in ["abc", "99999999999999999999999", "-1"] {
+        for bad in ["abc", "99999999999999999999999", "-1", "+5"] {
             let mut stream = TcpStream::connect(server.addr()).unwrap();
             let payload = format!(
                 "POST /echo HTTP/1.1\r\ncontent-length: {bad}\r\n\r\nGET /ping HTTP/1.1\r\n\r\n"
@@ -670,6 +495,27 @@ mod tests {
             assert_eq!(all.matches("HTTP/1.1").count(), 1, "{bad}: {all}");
             assert!(all.contains("connection: close"));
         }
+    }
+
+    #[test]
+    fn conflicting_content_lengths_are_rejected_and_connection_closed() {
+        use std::io::{Read, Write};
+
+        let server = echo_server();
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        // Were the first header to win, the bytes the second one covers
+        // would be answered as a smuggled second request.
+        stream
+            .write_all(
+                b"POST /echo HTTP/1.1\r\ncontent-length: 0\r\ncontent-length: 22\r\n\r\n\
+                  GET /ping HTTP/1.1\r\n\r\n",
+            )
+            .unwrap();
+        let mut all = String::new();
+        stream.read_to_string(&mut all).unwrap();
+        assert!(all.starts_with("HTTP/1.1 400"), "{all}");
+        assert_eq!(all.matches("HTTP/1.1").count(), 1, "{all}");
+        assert!(all.contains("connection: close"));
     }
 
     #[test]

@@ -6,8 +6,17 @@
 //! notation numbers). Objects preserve insertion order; duplicate keys
 //! keep the first occurrence on lookup, mirroring typical service
 //! behaviour.
+//!
+//! Every POST body passes through [`Json::parse`] before any route logic,
+//! so the parser is linear in its input and refuses containers nested
+//! deeper than [`MAX_DEPTH`] instead of recursing without bound.
 
 use std::fmt;
+
+/// Deepest container nesting [`Json::parse`] accepts. API bodies nest at
+/// most 4 deep; the cap keeps a body of `[[[[…` from overflowing the
+/// parsing thread's stack, which would abort the whole process.
+pub const MAX_DEPTH: usize = 64;
 
 /// A JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -90,8 +99,10 @@ impl Json {
     /// Parses a JSON document (must consume all non-whitespace input).
     pub fn parse(input: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            src: input,
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -184,8 +195,12 @@ impl fmt::Display for JsonError {
 impl std::error::Error for JsonError {}
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
+    /// Byte offset; always on a char boundary of `src`.
     pos: usize,
+    /// Containers currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -217,8 +232,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -226,6 +241,20 @@ impl<'a> Parser<'a> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a value")),
         }
+    }
+
+    /// Parses one container one level deeper, refusing past [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn literal(&mut self, lit: &str, value: Json) -> Result<Json, JsonError> {
@@ -270,13 +299,22 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote or backslash as one slice.
+            // Both are ASCII, so the run ends on a char boundary.
+            let end = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .map_or(self.bytes.len(), |n| self.pos + n);
+            out.push_str(&self.src[self.pos..end]);
+            self.pos = end;
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                _ => {
+                    // The run stopped at a backslash: one escape.
                     self.pos += 1;
                     match self.peek() {
                         Some(b'"') => out.push('"'),
@@ -311,14 +349,6 @@ impl<'a> Parser<'a> {
                         _ => return Err(self.err("invalid escape")),
                     }
                     self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
                 }
             }
         }
@@ -475,6 +505,65 @@ mod tests {
     fn integers_render_without_decimal_point() {
         assert_eq!(Json::Num(42.0).to_string(), "42");
         assert_eq!(Json::Num(0.5).to_string(), "0.5");
+    }
+
+    #[test]
+    fn max_body_string_parses_in_linear_time() {
+        // A body-sized string of plain runs, multibyte characters and
+        // escapes: copying runs whole keeps this to milliseconds even in
+        // a debug build, so one request cannot pin an edge worker.
+        let mut text = String::from("\"");
+        while text.len() < crate::http::MAX_BODY - 16 {
+            text.push_str("plain run 香港 \\n\\u00e9\\\"");
+        }
+        text.push('"');
+        let start = std::time::Instant::now();
+        let parsed = Json::parse(&text).unwrap();
+        let elapsed = start.elapsed();
+        assert!(
+            elapsed < std::time::Duration::from_secs(1),
+            "took {elapsed:?}"
+        );
+        let s = parsed.as_str().unwrap();
+        assert!(s.starts_with("plain run 香港 \né\""));
+        assert_eq!(s.matches('é').count(), s.matches('\n').count());
+    }
+
+    #[test]
+    fn nesting_is_capped_without_recursing_the_stack_away() {
+        let deep = "[".repeat(20_000);
+        assert!(Json::parse(&deep).is_err());
+        let deep_objects = "{\"a\":".repeat(20_000);
+        assert!(Json::parse(&deep_objects).is_err());
+        // Exactly at the cap still parses; one level more does not.
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&at_cap).is_ok());
+        let over = format!("[{at_cap}]");
+        let err = Json::parse(&over).unwrap_err();
+        assert!(err.message.contains("nesting"), "{err}");
+    }
+
+    #[test]
+    fn to_string_output_round_trips() {
+        let mut nested = Json::Arr(vec![Json::str("leaf")]);
+        for depth in 1..MAX_DEPTH {
+            nested = if depth % 2 == 0 {
+                Json::Arr(vec![Json::Num(depth as f64), nested])
+            } else {
+                Json::Obj(vec![(format!("k{depth}\t\"q\""), nested)])
+            };
+        }
+        for v in [
+            nested,
+            Json::str("x".repeat(10_000) + "\\ \u{1F600} \u{7f} \u{1f}"),
+            Json::str(""),
+            Json::Arr(vec![]),
+            Json::Obj(vec![]),
+            Json::Num(-1.25e-7),
+        ] {
+            let text = v.to_string();
+            assert_eq!(Json::parse(&text).unwrap(), v, "{text}");
+        }
     }
 
     #[test]

@@ -9,8 +9,11 @@
 //! * [`json`] — a complete hand-rolled JSON value type, serializer and
 //!   recursive-descent parser (serde_json is outside the approved
 //!   dependency set);
-//! * [`http`] — a minimal HTTP/1.1 request reader / response writer over
-//!   `std::net`, plus a crossbeam-channel worker-pool server;
+//! * [`http`] — minimal HTTP/1.1 request/response types and the server
+//!   entry point, served by [`event_loop`]: one epoll readiness loop
+//!   feeding a fixed worker pool. It serves on Linux only; elsewhere
+//!   every crate builds but [`HttpServer::spawn`] returns
+//!   [`std::io::ErrorKind::Unsupported`];
 //! * [`api`] — the YASK REST endpoints (`/query`, `/whynot/explain`,
 //!   `/whynot/preference`, `/whynot/keywords`, `/session/close`, …)
 //!   bridging HTTP to the sharded [`yask_exec::Executor`] (which wraps
