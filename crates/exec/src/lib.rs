@@ -56,10 +56,11 @@
 //!   before shedding it, hot cells at a reduced budget) with shed /
 //!   degraded / deadline counters for `/stats` and `/metrics`;
 //! * [`deadline`] — a monotonic request budget threaded from the HTTP
-//!   layer through scatter-gather ([`search::shard_topk_bounded`]
-//!   saturates the shared bound on expiry so late shards drain through
-//!   the existing prune path) and the why-not fan-out, with partial
-//!   results always explicitly flagged and kept out of the caches.
+//!   layer through scatter-gather (each shard runs the shared best-first
+//!   core of [`yask_query::topk`] under a hook that saturates the shared
+//!   bound on expiry, so late shards drain through the existing prune
+//!   path) and the why-not fan-out, with partial results always
+//!   explicitly flagged and kept out of the caches.
 
 pub mod admission;
 pub mod bound;

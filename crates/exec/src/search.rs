@@ -1,11 +1,12 @@
 //! Per-shard best-first top-k with cross-shard pruning.
 //!
-//! [`shard_topk`] is the scatter half of scatter-gather: the same
-//! pop-and-unfold loop as [`yask_query::topk_tree_with_stats`], extended
-//! with a [`SharedBound`] consulted at every node expansion and object
-//! scoring. The bound carries certificates published by *other* shards'
-//! searches, so a shard whose best upper bound already trails the global
-//! k-th best score returns after touching only its root.
+//! [`shard_topk`] is the scatter half of scatter-gather: the one
+//! best-first loop of [`yask_query::topk`], run under a hook that prunes
+//! against a [`SharedBound`] at every node pop, internal-node expansion
+//! and object scoring, and publishes the shard's own `k`-th score into it.
+//! The bound carries certificates published by *other* shards' searches,
+//! so a shard whose best upper bound already trails the global k-th best
+//! score returns after touching only its root.
 //!
 //! Exactness: the bound only ever prunes entries scoring *strictly* below
 //! k known real object scores, so nothing the prune discards can belong
@@ -13,27 +14,17 @@
 //! id ascending) — equal-scored candidates are kept and the gather merge
 //! breaks their ties by id, exactly as a single tree would.
 
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use yask_index::{Augmentation, KcRTree, NodeId, NodeKind, ObjectId, RTree, TextualBound};
-use yask_query::{Query, RankedObject, ScoreParams, TraversalStats};
-use yask_util::Scored;
+use yask_index::{Augmentation, KcRTree, RTree, TextualBound};
+use yask_query::{
+    topk_tree_with_hook, Query, RankedObject, ScoreParams, SearchHook, TraversalStats,
+};
 
 use crate::bound::SharedBound;
 use crate::deadline::{Deadline, DEADLINE_STRIDE};
 use crate::pool::WorkerPool;
-
-/// Heap entry: node (keyed by score upper bound) or object (exact score).
-/// Derive order puts `Node < Object`, which [`Scored`]'s tie-break turns
-/// into "node pops first on an equal key" — required because the node may
-/// still hold an equal-scored object with a smaller id.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-enum Entry {
-    Node(NodeId),
-    Object(ObjectId),
-}
 
 /// Runs the shard-local best-first top-k, pruning against `shared` and
 /// publishing this shard's own best-k certificates into it. Returns the
@@ -44,111 +35,40 @@ pub fn shard_topk<A: Augmentation + TextualBound>(
     q: &Query,
     shared: &SharedBound,
 ) -> (Vec<RankedObject>, TraversalStats) {
-    let (out, stats, _) = shard_topk_bounded(tree, params, q, shared, None);
+    let (out, stats, _) = topk_tree_with_hook(tree, params, q, ShardHook { shared, deadline: None });
     (out, stats)
 }
 
-/// [`shard_topk`] with an optional [`Deadline`]: the expansion loop
-/// consults the deadline every [`DEADLINE_STRIDE`] node expansions and,
-/// once it passes, *saturates* the shared bound (raises it to `+inf`)
-/// so every sibling shard's search drains through the existing
+/// The scatter's search hook: the cross-shard bound is the prune floor and
+/// receives this shard's `k`-th score. The optional [`Deadline`] is
+/// checked before the first node expansion and every [`DEADLINE_STRIDE`]th
+/// after; once it passes, the search stops (its result is a best-effort
+/// prefix the caller must flag partial) and *saturates* the shared bound
+/// (raises it to `+inf`) so every sibling shard drains through the
 /// bound-gating prunes instead of needing its own cancellation channel.
-/// The third return is `true` when the search ran to completion; a
-/// `false` result is a best-effort prefix of the shard's top-k and must
-/// be flagged partial by the caller.
-pub fn shard_topk_bounded<A: Augmentation + TextualBound>(
-    tree: &RTree<A>,
-    params: &ScoreParams,
-    q: &Query,
-    shared: &SharedBound,
+struct ShardHook<'a> {
+    shared: &'a SharedBound,
     deadline: Option<Deadline>,
-) -> (Vec<RankedObject>, TraversalStats, bool) {
-    let mut stats = TraversalStats::default();
-    let mut out = Vec::with_capacity(q.k.min(tree.len()));
-    if deadline.is_some_and(|d| d.expired()) {
-        shared.raise(f64::INFINITY);
-        return (out, stats, false);
-    }
-    let Some(root) = tree.root() else {
-        return (out, stats, true);
-    };
-    let _guard = tree.read_guard();
-    let mut heap: BinaryHeap<Scored<Entry>> = BinaryHeap::new();
-    let mut seen: yask_util::TopK<ObjectId> = yask_util::TopK::new(q.k);
-    let root_node = tree.node(root);
-    let root_ub = params.node_upper(&root_node.mbr, root_node.aug(), q);
-    if root_ub < shared.get() {
-        return (out, stats, true);
-    }
-    heap.push(Scored::new(root_ub, Entry::Node(root)));
-    stats.heap_pushes += 1;
+}
 
-    while let Some(top) = heap.pop() {
-        if let Some(d) = deadline {
-            if stats.nodes_expanded % DEADLINE_STRIDE == 0 && d.expired() {
-                // Out of budget: flag the prefix partial and saturate
-                // the shared bound so the sibling shards' searches
-                // prune everything and drain fast.
-                shared.raise(f64::INFINITY);
-                return (out, stats, false);
-            }
-        }
-        match top.item {
-            Entry::Object(id) => {
-                out.push(RankedObject {
-                    id,
-                    score: top.score.get(),
-                });
-                if out.len() == q.k {
-                    break;
-                }
-            }
-            Entry::Node(n) => {
-                // Both bounds may have tightened while the entry was
-                // queued; re-check before paying for the expansion.
-                if seen.is_full() && top.score.get() < seen.threshold() {
-                    continue;
-                }
-                if top.score.get() < shared.get() {
-                    continue;
-                }
-                stats.nodes_expanded += 1;
-                match &tree.node(n).kind {
-                    NodeKind::Leaf(entries) => {
-                        for &id in entries {
-                            let s = params.score(tree.corpus().get(id), q);
-                            stats.objects_scored += 1;
-                            if s < shared.get() {
-                                continue;
-                            }
-                            // Not retained locally ⇒ k better objects in
-                            // this shard alone ⇒ out of the global top-k.
-                            if seen.push(s, id) {
-                                stats.heap_pushes += 1;
-                                heap.push(Scored::new(s, Entry::Object(id)));
-                                if seen.is_full() {
-                                    shared.raise(seen.threshold());
-                                }
-                            }
-                        }
-                    }
-                    NodeKind::Internal(children) => {
-                        let global = shared.get();
-                        for &c in children {
-                            let child = tree.node(c);
-                            let ub = params.node_upper(&child.mbr, child.aug(), q);
-                            if (seen.is_full() && ub < seen.threshold()) || ub < global {
-                                continue;
-                            }
-                            stats.heap_pushes += 1;
-                            heap.push(Scored::new(ub, Entry::Node(c)));
-                        }
-                    }
-                }
-            }
-        }
+impl SearchHook for ShardHook<'_> {
+    fn floor(&self) -> f64 {
+        self.shared.get()
     }
-    (out, stats, true)
+
+    fn publish(&self, kth: f64) {
+        self.shared.raise(kth);
+    }
+
+    fn stop(&self, expanded: usize) -> bool {
+        let expired = self
+            .deadline
+            .is_some_and(|d| expanded % DEADLINE_STRIDE == 0 && d.expired());
+        if expired {
+            self.shared.raise(f64::INFINITY);
+        }
+        expired
+    }
 }
 
 /// The one scatter-gather loop both top-k entry points share (the
@@ -193,7 +113,8 @@ pub(crate) fn scatter_topk_bounded(
                 return;
             }
             let t0 = Instant::now();
-            let (result, stats, complete) = shard_topk_bounded(&tree, &params, &q, &bound, deadline);
+            let hook = ShardHook { shared: &bound, deadline };
+            let (result, stats, complete) = topk_tree_with_hook(&tree, &params, &q, hook);
             let _ = tx.send((i, result, stats, t0.elapsed(), complete));
         });
     }
@@ -233,7 +154,7 @@ pub fn merge_topk(mut candidates: Vec<RankedObject>, k: usize) -> Vec<RankedObje
 mod tests {
     use super::*;
     use yask_geo::{Point, Space};
-    use yask_index::{Corpus, CorpusBuilder, KcRTree, RTreeParams};
+    use yask_index::{Corpus, CorpusBuilder, KcRTree, ObjectId, RTreeParams};
     use yask_query::{topk_tree, Weights};
     use yask_text::KeywordSet;
     use yask_util::Xoshiro256;
@@ -332,6 +253,36 @@ mod tests {
             with_bound < without,
             "shared bound never pruned: {with_bound} vs {without}"
         );
+    }
+
+    /// Pins the traversal counters of both top-k entry points on a seeded
+    /// workload: the values were recorded before the shard loop and the
+    /// single-tree loop were folded into one core, so a change here is a
+    /// change in per-query work, independent of machine noise.
+    #[test]
+    fn traversal_counters_are_pinned() {
+        let corpus = random_corpus(3000, 33);
+        let params = ScoreParams::new(corpus.space());
+        let single = KcRTree::bulk_load(corpus.clone(), RTreeParams::default());
+        let sharded = ShardedIndex::build(corpus, 8, RTreeParams::default());
+        let mut rng = Xoshiro256::seed_from_u64(35);
+        let (mut tree_total, mut shard_total) = ([0usize; 3], [0usize; 3]);
+        let add = |total: &mut [usize; 3], s: TraversalStats| {
+            total[0] += s.nodes_expanded;
+            total[1] += s.objects_scored;
+            total[2] += s.heap_pushes;
+        };
+        for _ in 0..20 {
+            let q = random_query(&mut rng);
+            add(&mut tree_total, yask_query::topk_tree_with_stats(&single, &params, &q).1);
+            let bound = SharedBound::new();
+            for tree in sharded.shards() {
+                add(&mut shard_total, shard_topk(tree, &params, &q, &bound).1);
+            }
+        }
+        // [nodes expanded, objects scored, heap pushes] over 20 queries.
+        assert_eq!(tree_total, [1196, 34336, 2208], "topk_tree_with_stats");
+        assert_eq!(shard_total, [1578, 45102, 2865], "sequential shard_topk");
     }
 
     #[test]

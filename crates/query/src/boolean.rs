@@ -12,13 +12,12 @@
 //! its union keyword set (`TextStats::max_inter == |q.doc|`), which the
 //! SetR/KcR/IR augmentations all expose.
 
-use std::collections::BinaryHeap;
-
-use yask_index::{Augmentation, Corpus, NodeId, NodeKind, ObjectId, RTree, TextualBound};
-use yask_util::{Scored, TopK};
+use yask_index::{Augmentation, Corpus, ObjectId, RTree, SpatioTextualObject, TextualBound};
+use yask_util::TopK;
 
 use crate::query::Query;
 use crate::score::{RankedObject, ScoreParams};
+use crate::topk::{topk_tree_with_hook, SearchHook};
 
 /// Exact boolean top-k by scan: filter on containment, rank by `ST`.
 pub fn boolean_topk_scan(corpus: &Corpus, params: &ScoreParams, q: &Query) -> Vec<RankedObject> {
@@ -37,10 +36,19 @@ pub fn boolean_topk_scan(corpus: &Corpus, params: &ScoreParams, q: &Query) -> Ve
         .collect()
 }
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-enum Entry {
-    Node(NodeId),
-    Object(ObjectId),
+/// The containment hook: a subtree can hold a qualifying object only if
+/// every query keyword appears in its union keyword set, and only objects
+/// containing every query keyword are scored.
+struct Conjunctive;
+
+impl SearchHook for Conjunctive {
+    fn admit_node<A: TextualBound>(&self, aug: &A, q: &Query) -> bool {
+        aug.text_stats(&q.doc).max_inter >= q.doc.len()
+    }
+
+    fn admit_object(&self, o: &SpatioTextualObject, q: &Query) -> bool {
+        q.doc.is_subset_of(&o.doc)
+    }
 }
 
 /// Boolean top-k over any augmented R-tree: subtrees missing any query
@@ -53,58 +61,7 @@ pub fn boolean_topk_tree<A: Augmentation + TextualBound>(
     params: &ScoreParams,
     q: &Query,
 ) -> Vec<RankedObject> {
-    let mut out = Vec::new();
-    let Some(root) = tree.root() else {
-        return out;
-    };
-    let _guard = tree.read_guard();
-    let q_len = q.doc.len();
-    let mut heap: BinaryHeap<Scored<Entry>> = BinaryHeap::new();
-    let root_node = tree.node(root);
-    if root_node.aug().text_stats(&q.doc).max_inter == q_len {
-        heap.push(Scored::new(
-            params.node_upper(&root_node.mbr, root_node.aug(), q),
-            Entry::Node(root),
-        ));
-    }
-    while let Some(top) = heap.pop() {
-        match top.item {
-            Entry::Object(id) => {
-                out.push(RankedObject {
-                    id,
-                    score: top.score.get(),
-                });
-                if out.len() == q.k {
-                    break;
-                }
-            }
-            Entry::Node(n) => match &tree.node(n).kind {
-                NodeKind::Leaf(entries) => {
-                    for &id in entries {
-                        let o = tree.corpus().get(id);
-                        if q.doc.is_subset_of(&o.doc) {
-                            heap.push(Scored::new(params.score(o, q), Entry::Object(id)));
-                        }
-                    }
-                }
-                NodeKind::Internal(children) => {
-                    for &c in children {
-                        let child = tree.node(c);
-                        // Conjunctive prune: every query keyword must
-                        // appear somewhere below this child.
-                        if child.aug().text_stats(&q.doc).max_inter < q_len {
-                            continue;
-                        }
-                        heap.push(Scored::new(
-                            params.node_upper(&child.mbr, child.aug(), q),
-                            Entry::Node(c),
-                        ));
-                    }
-                }
-            },
-        }
-    }
-    out
+    topk_tree_with_hook(tree, params, q, Conjunctive).0
 }
 
 #[cfg(test)]
@@ -112,7 +69,7 @@ mod tests {
     use super::*;
     use crate::query::Weights;
     use yask_geo::{Point, Space};
-    use yask_index::{CorpusBuilder, RTreeParams, SetRTree};
+    use yask_index::{CorpusBuilder, IrTree, KcRTree, PlainRTree, RTreeParams, SetRTree};
     use yask_text::KeywordSet;
     use yask_util::Xoshiro256;
 
@@ -132,7 +89,12 @@ mod tests {
     fn tree_matches_scan_on_random_data() {
         let corpus = random_corpus(500, 12, 61);
         let params = ScoreParams::new(corpus.space());
-        let tree = SetRTree::bulk_load(corpus.clone(), RTreeParams::new(8, 3));
+        let tp = RTreeParams::new(8, 3);
+        let tree = SetRTree::bulk_load(corpus.clone(), tp);
+        let kcr = KcRTree::bulk_load(corpus.clone(), tp);
+        let ir = IrTree::bulk_load(corpus.clone(), tp);
+        let plain = PlainRTree::bulk_load(corpus.clone(), tp);
+        let ids = |rs: Vec<RankedObject>| rs.iter().map(|r| r.id).collect::<Vec<ObjectId>>();
         let mut rng = Xoshiro256::seed_from_u64(62);
         for _ in 0..30 {
             let doc = KeywordSet::from_raw((0..1 + rng.below(3)).map(|_| rng.below(12) as u32));
@@ -142,11 +104,15 @@ mod tests {
                 1 + rng.below(10),
                 Weights::from_ws(rng.range_f64(0.1, 0.9)),
             );
-            let got: Vec<ObjectId> =
-                boolean_topk_tree(&tree, &params, &q).iter().map(|r| r.id).collect();
-            let want: Vec<ObjectId> =
-                boolean_topk_scan(&corpus, &params, &q).iter().map(|r| r.id).collect();
-            assert_eq!(got, want, "q = {q:?}");
+            let want = ids(boolean_topk_scan(&corpus, &params, &q));
+            for (name, got) in [
+                ("setr", boolean_topk_tree(&tree, &params, &q)),
+                ("kcr", boolean_topk_tree(&kcr, &params, &q)),
+                ("ir", boolean_topk_tree(&ir, &params, &q)),
+                ("plain", boolean_topk_tree(&plain, &params, &q)),
+            ] {
+                assert_eq!(ids(got), want, "{name}: q = {q:?}");
+            }
         }
     }
 

@@ -1,56 +1,30 @@
 //! Incremental best-first enumeration.
 //!
 //! [`IncrementalSearch`] is the top-k algorithm of §3.3 *without* the `k`
-//! cut-off: it yields objects one at a time in exact rank order. The
-//! why-not engine uses it to compute `R(M, q)` — "the lowest rank of the
-//! missing objects under the query q" — by pulling results until every
-//! missing object has surfaced, paying only for the ranks actually
-//! reached instead of scoring the whole database.
+//! cut-off: it yields objects one at a time in exact rank order, paying
+//! only for the ranks actually reached instead of scoring the whole
+//! database. It runs the same loop as [`crate::topk_tree`], with no
+//! best-`k` collector and therefore no `k`-th-score pruning. (The why-not
+//! modules compute ranks with [`crate::ranks_of_scan`] and the KcR-tree
+//! rank descents instead.)
 
-use std::collections::BinaryHeap;
-
-use yask_index::{ArenaReadGuard, Augmentation, NodeId, NodeKind, ObjectId, RTree, TextualBound};
-use yask_util::Scored;
+use yask_index::{Augmentation, ObjectId, RTree, TextualBound};
 
 use crate::query::Query;
 use crate::score::{RankedObject, ScoreParams};
-
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-enum Entry {
-    Node(NodeId),
-    Object(ObjectId),
-}
+use crate::topk::{BestFirst, NoHook};
 
 /// A lazy, rank-ordered stream of query results.
 pub struct IncrementalSearch<'t, A: Augmentation> {
-    tree: &'t RTree<A>,
-    /// Pins the arena of a paged tree for the stream's whole lifetime —
-    /// node references taken in `next` must outlive each heap push.
-    _guard: ArenaReadGuard<'t, A>,
-    params: ScoreParams,
-    query: Query,
-    heap: BinaryHeap<Scored<Entry>>,
+    search: BestFirst<'t, A, Query, NoHook>,
     yielded: usize,
 }
 
 impl<'t, A: Augmentation + TextualBound> IncrementalSearch<'t, A> {
     /// Starts a search; `q.k` is ignored (the stream is unbounded).
     pub fn new(tree: &'t RTree<A>, params: ScoreParams, query: Query) -> Self {
-        let guard = tree.read_guard();
-        let mut heap = BinaryHeap::new();
-        if let Some(root) = tree.root() {
-            let node = tree.node(root);
-            heap.push(Scored::new(
-                params.node_upper(&node.mbr, node.aug(), &query),
-                Entry::Node(root),
-            ));
-        }
         IncrementalSearch {
-            tree,
-            _guard: guard,
-            params,
-            query,
-            heap,
+            search: BestFirst::new(tree, params, query, None, NoHook),
             yielded: 0,
         }
     }
@@ -63,12 +37,7 @@ impl<'t, A: Augmentation + TextualBound> IncrementalSearch<'t, A> {
     /// Pulls results until `target` surfaces; returns its 1-based rank,
     /// or `None` if the stream ends first (object not indexed).
     pub fn rank_of(&mut self, target: ObjectId) -> Option<usize> {
-        for r in self.by_ref() {
-            if r.id == target {
-                return Some(self.yielded);
-            }
-        }
-        None
+        self.find(|r| r.id == target).map(|_| self.yielded)
     }
 }
 
@@ -76,35 +45,7 @@ impl<A: Augmentation + TextualBound> Iterator for IncrementalSearch<'_, A> {
     type Item = RankedObject;
 
     fn next(&mut self) -> Option<RankedObject> {
-        while let Some(top) = self.heap.pop() {
-            match top.item {
-                Entry::Object(id) => {
-                    self.yielded += 1;
-                    return Some(RankedObject {
-                        id,
-                        score: top.score.get(),
-                    });
-                }
-                Entry::Node(n) => match &self.tree.node(n).kind {
-                    NodeKind::Leaf(entries) => {
-                        for &id in entries {
-                            let s = self.params.score(self.tree.corpus().get(id), &self.query);
-                            self.heap.push(Scored::new(s, Entry::Object(id)));
-                        }
-                    }
-                    NodeKind::Internal(children) => {
-                        for &c in children {
-                            let child = self.tree.node(c);
-                            let ub =
-                                self.params
-                                    .node_upper(&child.mbr, child.aug(), &self.query);
-                            self.heap.push(Scored::new(ub, Entry::Node(c)));
-                        }
-                    }
-                },
-            }
-        }
-        None
+        self.search.next().inspect(|_| self.yielded += 1)
     }
 }
 
@@ -113,7 +54,7 @@ mod tests {
     use super::*;
     use crate::scan::{rank_of_scan, topk_scan};
     use yask_geo::{Point, Space};
-    use yask_index::{Corpus, CorpusBuilder, RTreeParams, SetAug};
+    use yask_index::{Corpus, CorpusBuilder, IrAug, KcAug, NoAug, RTreeParams, SetAug};
     use yask_text::KeywordSet;
     use yask_util::Xoshiro256;
 
@@ -147,14 +88,24 @@ mod tests {
     fn rank_of_matches_scan_oracle() {
         let c = corpus(200, 2);
         let params = ScoreParams::new(c.space());
-        let tree: RTree<SetAug> = RTree::bulk_load(c.clone(), RTreeParams::new(8, 3));
+        let tp = RTreeParams::new(8, 3);
+        let tree: RTree<SetAug> = RTree::bulk_load(c.clone(), tp);
+        let kcr: RTree<KcAug> = RTree::bulk_load(c.clone(), tp);
+        let ir: RTree<IrAug> = RTree::bulk_load(c.clone(), tp);
+        let plain: RTree<NoAug> = RTree::bulk_load(c.clone(), tp);
         let q = Query::new(Point::new(0.2, 0.8), KeywordSet::from_raw([2, 5]), 1);
         let mut rng = Xoshiro256::seed_from_u64(9);
         for _ in 0..20 {
             let target = ObjectId(rng.below(200) as u32);
-            let mut search = IncrementalSearch::new(&tree, params, q.clone());
-            let got = search.rank_of(target).unwrap();
-            assert_eq!(got, rank_of_scan(&c, &params, &q, target));
+            let want = rank_of_scan(&c, &params, &q, target);
+            for (name, got) in [
+                ("setr", IncrementalSearch::new(&tree, params, q.clone()).rank_of(target)),
+                ("kcr", IncrementalSearch::new(&kcr, params, q.clone()).rank_of(target)),
+                ("ir", IncrementalSearch::new(&ir, params, q.clone()).rank_of(target)),
+                ("plain", IncrementalSearch::new(&plain, params, q.clone()).rank_of(target)),
+            ] {
+                assert_eq!(got, Some(want), "{name}: target {target:?}");
+            }
         }
     }
 

@@ -15,13 +15,13 @@
 //! * [`ScoreParams`] — the scoring function plus node-level upper/lower
 //!   bounds for any augmented R-tree,
 //! * [`topk`] — the best-first priority-queue algorithm of §3.3, generic
-//!   over the index variant, with traversal statistics,
-//! * [`scan`] — the exact linear-scan baseline and rank oracles,
-//! * [`iter`] — incremental best-first enumeration (objects stream out in
-//!   rank order), which the why-not engine uses to locate missing objects'
-//!   ranks without fixing `k` in advance,
-//! * [`engine`] — object-safe [`engine::SpatialKeywordEngine`] wrappers
-//!   (SetR-tree, KcR-tree, IR-tree, scan) so callers can swap engines.
+//!   over the index variant, with traversal statistics; its one
+//!   pop-and-unfold loop also runs the scatter's per-shard search, boolean
+//!   top-k and the incremental stream through a [`SearchHook`],
+//! * [`scan`] — the exact linear-scan baseline and rank oracles (the
+//!   why-not modules rank missing objects with [`ranks_of_scan`]),
+//! * [`iter`] — incremental best-first enumeration: objects stream out in
+//!   rank order without fixing `k` in advance.
 //!
 //! Ranking is a *total* order: score descending, object id ascending on
 //! ties. Every algorithm in the workspace (and every test comparing them)
@@ -29,7 +29,6 @@
 //! arithmetic exact.
 
 pub mod boolean;
-pub mod engine;
 pub mod iter;
 pub mod query;
 pub mod range;
@@ -38,12 +37,9 @@ pub mod score;
 pub mod topk;
 
 pub use boolean::{boolean_topk_scan, boolean_topk_tree};
-pub use engine::{
-    EngineKind, IrTreeEngine, KcRTreeEngine, ScanEngine, SetRTreeEngine, SpatialKeywordEngine,
-};
 pub use iter::IncrementalSearch;
 pub use query::{Query, Weights};
 pub use range::{range_keyword_scan, range_keyword_tree, MatchMode};
 pub use scan::{rank_of_scan, ranks_of_scan, topk_scan};
 pub use score::{RankedObject, ScoreParams};
-pub use topk::{topk_tree, topk_tree_with_stats, TraversalStats};
+pub use topk::{topk_tree, topk_tree_with_hook, topk_tree_with_stats, SearchHook, TraversalStats};

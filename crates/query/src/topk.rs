@@ -14,11 +14,19 @@
 //! KcR-tree, IR-tree and plain-R-tree engines — only the tightness of the
 //! bound (and therefore the number of node expansions) differs, which is
 //! what experiment E5 measures.
+//!
+//! [`topk_tree`], the scatter's per-shard search, boolean top-k and
+//! [`crate::IncrementalSearch`] all run the one pop-and-unfold loop below;
+//! they differ only in their [`SearchHook`] and in whether `k` applies.
 
+use std::borrow::Borrow;
 use std::collections::BinaryHeap;
 
-use yask_index::{Augmentation, NodeId, NodeKind, ObjectId, RTree, TextualBound};
-use yask_util::Scored;
+use yask_index::{
+    ArenaReadGuard, Augmentation, NodeId, NodeKind, ObjectId, RTree, SpatioTextualObject,
+    TextualBound,
+};
+use yask_util::{Scored, TopK};
 
 use crate::query::Query;
 use crate::score::{RankedObject, ScoreParams};
@@ -34,6 +42,44 @@ pub struct TraversalStats {
     pub heap_pushes: usize,
 }
 
+/// Policy plugged into the best-first search; every method defaults to a
+/// no-op. Exactness contract: the floor may only prune entries scoring
+/// *strictly* below `k` known real object scores, and the admission tests
+/// may only reject subtrees and objects that cannot qualify.
+pub trait SearchHook {
+    /// Entries scoring strictly below the floor are pruned; re-read at every
+    /// node pop, internal-node expansion and scored object.
+    fn floor(&self) -> f64 {
+        f64::NEG_INFINITY
+    }
+
+    /// Called after an object enters a full best-`k` collector, with the
+    /// collector's `k`-th score: `k` real objects score at least `kth`.
+    fn publish(&self, _kth: f64) {}
+
+    /// Asked before each node expansion, given the expansions so far: `true`
+    /// stops the search, which then reports a best-effort prefix.
+    fn stop(&self, _expanded: usize) -> bool {
+        false
+    }
+
+    /// Whether the subtree summarised by `aug` can hold a qualifying
+    /// object; `false` skips it unexpanded.
+    fn admit_node<A: TextualBound>(&self, _aug: &A, _q: &Query) -> bool {
+        true
+    }
+
+    /// Whether `o` qualifies; checked before it is scored.
+    fn admit_object(&self, _o: &SpatioTextualObject, _q: &Query) -> bool {
+        true
+    }
+}
+
+/// The hook that changes nothing: plain best-first search.
+pub(crate) struct NoHook;
+
+impl SearchHook for NoHook {}
+
 /// Heap entry: node (by bound) or object (by exact score).
 ///
 /// Derive order puts `Node < Object`; combined with [`Scored`]'s
@@ -46,6 +92,145 @@ enum Entry {
     Object(ObjectId),
 }
 
+/// The resumable best-first search: each `next` pops and unfolds until the
+/// next object surfaces, in exact rank order. With a best-`k` collector
+/// (`seen`) it also skips pushes that cannot enter the top-`k` (an object
+/// beaten by `k` seen objects, a node bounded strictly below the `k`-th
+/// score); the `k` witnesses stay in the heap or output, so the first `k`
+/// objects are unchanged. Without one the stream is unbounded.
+pub(crate) struct BestFirst<'t, A: Augmentation, Q, H> {
+    tree: &'t RTree<A>,
+    /// Pins the arena of a paged tree for the search's whole lifetime —
+    /// node references taken in `next` must outlive each heap push.
+    _guard: ArenaReadGuard<'t, A>,
+    params: ScoreParams,
+    query: Q,
+    hook: H,
+    heap: BinaryHeap<Scored<Entry>>,
+    seen: Option<TopK<ObjectId>>,
+    stats: TraversalStats,
+    stopped: bool,
+}
+
+impl<'t, A, Q, H> BestFirst<'t, A, Q, H>
+where
+    A: Augmentation + TextualBound,
+    Q: Borrow<Query>,
+    H: SearchHook,
+{
+    /// Starts a search at the root; `seen` is the best-`k` collector of a
+    /// bounded search, `None` for an unbounded stream.
+    pub(crate) fn new(
+        tree: &'t RTree<A>,
+        params: ScoreParams,
+        query: Q,
+        seen: Option<TopK<ObjectId>>,
+        hook: H,
+    ) -> Self {
+        let mut search = BestFirst {
+            tree,
+            _guard: tree.read_guard(),
+            params,
+            query,
+            hook,
+            heap: BinaryHeap::new(),
+            seen,
+            stats: TraversalStats::default(),
+            stopped: false,
+        };
+        if let Some(root) = tree.root() {
+            search.push_node(root, search.cut());
+        }
+        search
+    }
+
+    /// Entries scoring strictly below this cannot enter the answer: the
+    /// larger of the local `k`-th score and the hook's floor.
+    fn cut(&self) -> f64 {
+        let local = self.seen.as_ref().map_or(f64::NEG_INFINITY, TopK::threshold);
+        local.max(self.hook.floor())
+    }
+
+    /// Queues node `n` keyed by its score upper bound, unless the hook
+    /// rejects it or the bound falls below `cut`.
+    fn push_node(&mut self, n: NodeId, cut: f64) {
+        let node = self.tree.node(n);
+        let q = self.query.borrow();
+        if !self.hook.admit_node(node.aug(), q) {
+            return;
+        }
+        let ub = self.params.node_upper(&node.mbr, node.aug(), q);
+        if ub >= cut {
+            self.stats.heap_pushes += 1;
+            self.heap.push(Scored::new(ub, Entry::Node(n)));
+        }
+    }
+
+    /// Scores object `id` and queues it unless the hook rejects it, it
+    /// falls below the floor, or `k` better objects were already seen.
+    fn push_object(&mut self, id: ObjectId) {
+        let o = self.tree.corpus().get(id);
+        let q = self.query.borrow();
+        if !self.hook.admit_object(o, q) {
+            return;
+        }
+        let s = self.params.score(o, q);
+        self.stats.objects_scored += 1;
+        if s < self.hook.floor() {
+            return;
+        }
+        if let Some(seen) = &mut self.seen {
+            if !seen.push(s, id) {
+                return;
+            }
+            if seen.is_full() {
+                self.hook.publish(seen.threshold());
+            }
+        }
+        self.stats.heap_pushes += 1;
+        self.heap.push(Scored::new(s, Entry::Object(id)));
+    }
+}
+
+impl<A, Q, H> Iterator for BestFirst<'_, A, Q, H>
+where
+    A: Augmentation + TextualBound,
+    Q: Borrow<Query>,
+    H: SearchHook,
+{
+    type Item = RankedObject;
+
+    fn next(&mut self) -> Option<RankedObject> {
+        while let Some(top) = self.heap.pop() {
+            let score = top.score.get();
+            let n = match top.item {
+                Entry::Object(id) => return Some(RankedObject { id, score }),
+                Entry::Node(n) => n,
+            };
+            // The bounds may have tightened while the node was queued;
+            // re-check before paying for the expansion.
+            if score < self.cut() {
+                continue;
+            }
+            if self.hook.stop(self.stats.nodes_expanded) {
+                self.stopped = true;
+                self.heap.clear();
+                return None;
+            }
+            self.stats.nodes_expanded += 1;
+            let tree = self.tree;
+            match &tree.node(n).kind {
+                NodeKind::Leaf(entries) => entries.iter().for_each(|&id| self.push_object(id)),
+                NodeKind::Internal(children) => {
+                    let cut = self.cut();
+                    children.iter().for_each(|&c| self.push_node(c, cut));
+                }
+            }
+        }
+        None
+    }
+}
+
 /// Runs the best-first top-k search over any augmented R-tree.
 pub fn topk_tree<A: Augmentation + TextualBound>(
     tree: &RTree<A>,
@@ -56,80 +241,29 @@ pub fn topk_tree<A: Augmentation + TextualBound>(
 }
 
 /// [`topk_tree`] with traversal statistics.
-///
-/// On top of the paper's pop-and-unfold loop, the search maintains the
-/// best `k` object scores seen so far ([`yask_util::TopK`]) and skips any
-/// push that provably cannot enter the final result: an object already
-/// beaten by `k` seen objects, or a node whose upper bound falls strictly
-/// below the current `k`-th score. Neither prune can discard a true
-/// result (the `k` witnesses are in the heap or the output), so the
-/// answer is unchanged — only the heap traffic shrinks.
 pub fn topk_tree_with_stats<A: Augmentation + TextualBound>(
     tree: &RTree<A>,
     params: &ScoreParams,
     q: &Query,
 ) -> (Vec<RankedObject>, TraversalStats) {
-    let mut stats = TraversalStats::default();
-    let mut out = Vec::with_capacity(q.k.min(tree.len()));
-    let Some(root) = tree.root() else {
-        return (out, stats);
-    };
-    let _guard = tree.read_guard();
-    let mut heap: BinaryHeap<Scored<Entry>> = BinaryHeap::new();
-    let mut seen: yask_util::TopK<ObjectId> = yask_util::TopK::new(q.k);
-    let root_node = tree.node(root);
-    heap.push(Scored::new(
-        params.node_upper(&root_node.mbr, root_node.aug(), q),
-        Entry::Node(root),
-    ));
-    stats.heap_pushes += 1;
-
-    while let Some(top) = heap.pop() {
-        match top.item {
-            Entry::Object(id) => {
-                out.push(RankedObject {
-                    id,
-                    score: top.score.get(),
-                });
-                if out.len() == q.k {
-                    break;
-                }
-            }
-            Entry::Node(n) => {
-                // The bound may have gone stale while queued; re-check.
-                if seen.is_full() && top.score.get() < seen.threshold() {
-                    continue;
-                }
-                stats.nodes_expanded += 1;
-                match &tree.node(n).kind {
-                    NodeKind::Leaf(entries) => {
-                        for &id in entries {
-                            let s = params.score(tree.corpus().get(id), q);
-                            stats.objects_scored += 1;
-                            // Not retained ⇒ k better objects already seen
-                            // ⇒ cannot be in the answer.
-                            if seen.push(s, id) {
-                                stats.heap_pushes += 1;
-                                heap.push(Scored::new(s, Entry::Object(id)));
-                            }
-                        }
-                    }
-                    NodeKind::Internal(children) => {
-                        for &c in children {
-                            let child = tree.node(c);
-                            let ub = params.node_upper(&child.mbr, child.aug(), q);
-                            if seen.is_full() && ub < seen.threshold() {
-                                continue;
-                            }
-                            stats.heap_pushes += 1;
-                            heap.push(Scored::new(ub, Entry::Node(c)));
-                        }
-                    }
-                }
-            }
-        }
-    }
+    let (out, stats, _) = topk_tree_with_hook(tree, params, q, NoHook);
     (out, stats)
+}
+
+/// [`topk_tree`] under a [`SearchHook`]: the first `q.k` objects of the
+/// hooked search, its traversal counters, and `true` when the search ran
+/// to completion (`false`: the hook stopped it and the list is a
+/// best-effort prefix).
+pub fn topk_tree_with_hook<A: Augmentation + TextualBound, H: SearchHook>(
+    tree: &RTree<A>,
+    params: &ScoreParams,
+    q: &Query,
+    hook: H,
+) -> (Vec<RankedObject>, TraversalStats, bool) {
+    let mut search = BestFirst::new(tree, *params, q, Some(TopK::new(q.k)), hook);
+    let mut out = Vec::with_capacity(q.k.min(tree.len()));
+    out.extend(search.by_ref().take(q.k));
+    (out, search.stats, !search.stopped)
 }
 
 #[cfg(test)]

@@ -318,13 +318,15 @@ pub(crate) fn try_parse(buf: &[u8]) -> Parsed {
     // The length must be plain digits (`usize::from_str` also takes a
     // leading `+`), and repeated headers must agree: otherwise the bytes
     // one copy covers and another does not would be parsed as a
-    // pipelined request — the same smuggling vector as above.
+    // pipelined request — the same smuggling vector as above. A numeral
+    // too long for `usize` is still a valid length, just an oversized
+    // one: it saturates and gets the 413 below.
     let mut content_length = None;
     for (_, v) in headers.iter().filter(|(k, _)| k == "content-length") {
-        let n = match v.parse::<usize>() {
-            Ok(n) if v.bytes().all(|b| b.is_ascii_digit()) => n,
-            _ => return Parsed::Bad(400, format!("invalid content-length {v:?}")),
-        };
+        if v.is_empty() || !v.bytes().all(|b| b.is_ascii_digit()) {
+            return Parsed::Bad(400, format!("invalid content-length {v:?}"));
+        }
+        let n = v.parse::<usize>().unwrap_or(usize::MAX);
         if content_length.is_some_and(|first| first != n) {
             return Parsed::Bad(400, "conflicting content-length headers".into());
         }
@@ -1106,6 +1108,102 @@ mod tests {
                 prop_assert_eq!(&got, &whole, "split {}", split);
             }
         }
+
+        /// A valid request is never complete before its last byte.
+        #[test]
+        fn every_strict_prefix_of_a_request_needs_more((wire, _) in arb_request()) {
+            for split in 0..wire.len() {
+                prop_assert!(
+                    matches!(try_parse(&wire[..split]), Parsed::NeedMore),
+                    "prefix of {} / {} bytes",
+                    split,
+                    wire.len()
+                );
+            }
+        }
+
+        /// Whatever its case, padding, value and position, a
+        /// `transfer-encoding` header is rejected with 400.
+        #[test]
+        fn any_transfer_encoding_header_is_400(
+            (_, req) in arb_request(),
+            name in arb_case("transfer-encoding"),
+            (pad, value, at, crlf) in ("[ \t]{0,2}", "[ -~]{0,12}", 0usize..8, any::<bool>()),
+        ) {
+            let raw = render_with(&req, &format!("{pad}{name}{pad}:{pad}{value}"), at, crlf);
+            let parsed = try_parse(&raw);
+            prop_assert!(matches!(parsed, Parsed::Bad(400, _)), "{:?}", String::from_utf8_lossy(&raw));
+        }
+
+        /// Any `content-length` above `MAX_BODY` — however many digits,
+        /// leading zeros included — is rejected with 413 before the body
+        /// is read.
+        #[test]
+        fn any_oversized_content_length_is_413(
+            (_, mut req) in arb_request(),
+            name in arb_case("content-length"),
+            (zeros, digits) in ("0{0,3}", arb_oversized_length()),
+            (at, crlf) in (0usize..8, any::<bool>()),
+        ) {
+            req.headers.retain(|(k, _)| k != "content-length");
+            let raw = render_with(&req, &format!("{name}: {zeros}{digits}"), at, crlf);
+            let parsed = try_parse(&raw);
+            prop_assert!(matches!(parsed, Parsed::Bad(413, _)), "{:?}", String::from_utf8_lossy(&raw));
+        }
+
+        /// A head that outgrows `MAX_HEAD_BYTES` without its blank line is
+        /// rejected with 400 instead of buffering without bound.
+        #[test]
+        fn an_overlong_head_without_a_blank_line_is_400(
+            lines in proptest::collection::vec("[!-~][ -~]{0,60}", 1..6),
+            (crlf, tail) in (any::<bool>(), 0usize..64),
+        ) {
+            let eol: &[u8] = if crlf { b"\r\n" } else { b"\n" };
+            let mut raw = Vec::new();
+            for line in lines.iter().cycle() {
+                if raw.len() > MAX_HEAD_BYTES + tail {
+                    break;
+                }
+                raw.extend_from_slice(line.as_bytes());
+                raw.extend_from_slice(eol);
+            }
+            raw.truncate(MAX_HEAD_BYTES + 1 + tail);
+            prop_assert!(matches!(try_parse(&raw), Parsed::Bad(400, _)));
+        }
+    }
+
+    /// `name` with each letter's case chosen at random.
+    fn arb_case(name: &'static str) -> impl Strategy<Value = String> {
+        proptest::collection::vec(any::<bool>(), name.len()).prop_map(move |upper| {
+            name.chars()
+                .zip(upper)
+                .map(|(c, up)| if up { c.to_ascii_uppercase() } else { c })
+                .collect()
+        })
+    }
+
+    /// Decimal lengths above `MAX_BODY`: near the limit, and far past
+    /// what fits in a `u64`.
+    fn arb_oversized_length() -> impl Strategy<Value = String> {
+        prop_oneof![
+            (MAX_BODY + 1..MAX_BODY * 64).prop_map(|n| n.to_string()),
+            "[1-9][0-9]{7,30}",
+        ]
+    }
+
+    /// The head of `req` with `line` inserted among its header lines
+    /// (position `at`), ending in the blank line.
+    fn render_with(req: &Request, line: &str, at: usize, crlf: bool) -> Vec<u8> {
+        let target = if req.query.is_empty() {
+            req.path.clone()
+        } else {
+            format!("{}?{}", req.path, req.query)
+        };
+        let mut lines = vec![format!("{} {target} {}", req.method, req.version)];
+        lines.extend(req.headers.iter().map(|(k, v)| format!("{k}: {v}")));
+        lines.insert(1 + at % lines.len(), line.to_owned());
+        let eol = if crlf { "\r\n" } else { "\n" };
+        (lines.join(eol) + eol + eol).into_bytes()
     }
 
     // -- clock + wheel (the injected-clock idle-timeout harness) -----------

@@ -88,9 +88,7 @@ pub mod prelude {
     pub use yask_index::{
         Corpus, CorpusBuilder, IrTree, KcRTree, ObjectId, PlainRTree, RTreeParams, SetRTree,
     };
-    pub use yask_query::{
-        EngineKind, Query, RankedObject, ScoreParams, SpatialKeywordEngine, Weights,
-    };
+    pub use yask_query::{Query, RankedObject, ScoreParams, Weights};
     pub use yask_text::{KeywordId, KeywordSet, SimilarityModel, Vocabulary};
 }
 

@@ -6,6 +6,7 @@ use yask::core::{refine_keywords_naive, refine_preference_naive};
 use yask::data::{gen_queries, pick_missing, SynthConfig};
 use yask::index::{KcRTree, RTreeParams};
 use yask::prelude::*;
+use yask::query::{topk_scan, topk_tree};
 
 fn synth(n: usize, seed: u64) -> Corpus {
     SynthConfig {
@@ -24,17 +25,18 @@ fn engines_agree_on_synthetic_workload() {
     let corpus = synth(3000, 1);
     let params = ScoreParams::new(corpus.space());
     let tp = RTreeParams::new(16, 6);
-    let engines: Vec<Box<dyn SpatialKeywordEngine>> = vec![
-        EngineKind::SetRTree.build(corpus.clone(), params, tp),
-        EngineKind::KcRTree.build(corpus.clone(), params, tp),
-        EngineKind::IrTree.build(corpus.clone(), params, tp),
-        EngineKind::Scan.build(corpus.clone(), params, tp),
-    ];
+    let setr = SetRTree::bulk_load(corpus.clone(), tp);
+    let kcr = KcRTree::bulk_load(corpus.clone(), tp);
+    let ir = IrTree::bulk_load(corpus.clone(), tp);
+    let ids = |rs: Vec<RankedObject>| rs.iter().map(|r| r.id).collect::<Vec<ObjectId>>();
     for q in gen_queries(&corpus, 25, 3, 10, 2) {
-        let want: Vec<ObjectId> = engines[3].top_k(&q).iter().map(|r| r.id).collect();
-        for e in &engines[..3] {
-            let got: Vec<ObjectId> = e.top_k(&q).iter().map(|r| r.id).collect();
-            assert_eq!(got, want, "{} diverged on {q:?}", e.name());
+        let want = ids(topk_scan(&corpus, &params, &q));
+        for (name, got) in [
+            ("setr-tree", topk_tree(&setr, &params, &q)),
+            ("kcr-tree", topk_tree(&kcr, &params, &q)),
+            ("ir-tree", topk_tree(&ir, &params, &q)),
+        ] {
+            assert_eq!(ids(got), want, "{name} diverged on {q:?}");
         }
     }
 }
